@@ -6,8 +6,8 @@
 // metadata, contended by actual hardware threads.
 //
 // Flags (on top of the shared Runner set):
-//   --backend=   tl2 | table | atomic (default atomic — the lock-free path)
-//   --table=     tagless | tagged for --backend=table
+//   --backend=   tl2 | table | adaptive (default table)
+//   --table=     tagless (default, lock-free) | tagged for --backend=table
 //   --workload=  counters | zipf | bank (default counters, low contention)
 //   --threads=   max thread count; the sweep doubles 1,2,4,... up to it
 //                (default 8; must respect the backend's capacity)
@@ -38,7 +38,7 @@ int bench_main(int argc, char** argv) {
     // The engine consumes its keys straight from the runner's config (so
     // done() still catches typos); only `threads` is rewritten per point.
     tmb::config::Config& cfg = runner.cfg();
-    if (!cfg.has("backend")) cfg.set("backend", "atomic");
+    if (!cfg.has("backend")) cfg.set("backend", "table");
     const std::uint32_t max_threads = cfg.get_u32("threads", 8);
     if (!cfg.has("ops")) {
         cfg.set("ops", std::to_string(tmb::bench::scaled(20000)));
@@ -49,7 +49,7 @@ int bench_main(int argc, char** argv) {
     points.push_back(max_threads);
     points.erase(std::unique(points.begin(), points.end()), points.end());
 
-    std::cout << "backend=" << cfg.get("backend", "atomic")
+    std::cout << "backend=" << cfg.get("backend", "table")
               << " workload=" << cfg.get("workload", "counters")
               << " ops/thread=" << cfg.get("ops", "") << "\n\n";
 

@@ -6,8 +6,8 @@
 // ownership metadata from real std::threads.
 //
 // Flags (on top of the shared Runner set):
-//   --backend=   tl2 | table | atomic (default atomic)
-//   --table=     tagless | tagged for --backend=table
+//   --backend=   tl2 | table | adaptive (default table)
+//   --table=     tagless (default, lock-free) | tagged for --backend=table
 //   --source=    jbb | zipf | spec:<profile> | file:<path> (default jbb;
 //                generator stream count follows --threads, so each engine
 //                thread replays its own stream)
@@ -39,7 +39,7 @@ int bench_main(int argc, char** argv) {
 
     tmb::config::Config& cfg = runner.cfg();
     cfg.set("workload", "replay");
-    if (!cfg.has("backend")) cfg.set("backend", "atomic");
+    if (!cfg.has("backend")) cfg.set("backend", "table");
     const std::uint32_t max_threads = cfg.get_u32("threads", 8);
     const std::uint32_t tx_size = cfg.get_u32("tx_size", 16);
     cfg.set("tx_size", std::to_string(tx_size));
@@ -52,7 +52,7 @@ int bench_main(int argc, char** argv) {
     points.push_back(max_threads);
     points.erase(std::unique(points.begin(), points.end()), points.end());
 
-    std::cout << "backend=" << cfg.get("backend", "atomic")
+    std::cout << "backend=" << cfg.get("backend", "table")
               << " source=" << cfg.get("source", "jbb")
               << " tx_size=" << tx_size
               << " ops/thread=" << cfg.get("ops", "") << "\n\n";

@@ -10,7 +10,7 @@
 // with --cache_blocks=0 for the uncached baseline.
 //
 // Flags (on top of the shared Runner set):
-//   --backend=   tl2 | table | atomic | adaptive (default tl2)
+//   --backend=   tl2 | table | adaptive (default tl2)
 //   --table=     tagless | tagged for --backend=table
 //   --threads=   max thread count; the sweep doubles 1,2,4,... up to it
 //                (default 8)

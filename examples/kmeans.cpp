@@ -34,7 +34,7 @@ int example_main(int argc, char** argv) {
     if (const auto pinned = cli.get_optional("backend")) {
         backends.push_back(*pinned);
     } else {
-        backends = {"tagless", "atomic_tagless", "tagged", "tl2", "adaptive"};
+        backends = {"tagless", "tagged", "tl2", "adaptive"};
     }
     tmb::config::reject_unknown(cli);
 

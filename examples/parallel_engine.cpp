@@ -1,7 +1,7 @@
 // parallel_engine — minimal use of the execution engine: run a workload on
 // real threads against any backend, then print the merged statistics.
 //
-//   ./parallel_engine --backend=atomic --workload=bank --threads=8 --ops=20000
+//   ./parallel_engine --backend=table --workload=bank --threads=8 --ops=20000
 //
 // The second half shows the underlying primitive: per-thread stm::Executor
 // handles whose private stat shards merge into one StmStats.
@@ -17,7 +17,7 @@ namespace {
 
 int example_main(int argc, char** argv) {
     auto cli = tmb::config::Config::from_args(argc, argv);
-    if (!cli.has("backend")) cli.set("backend", "atomic");
+    if (!cli.has("backend")) cli.set("backend", "table");
     if (!cli.has("workload")) cli.set("workload", "bank");
 
     // --- the engine: one call spawns, drives, joins and verifies ----------

@@ -45,8 +45,6 @@ using Clock = std::chrono::steady_clock;
                                                     ReclaimDomain& reclaim) {
     switch (cfg.backend) {
         case BackendKind::kTl2: return make_tl2_backend(cfg, stats, reclaim);
-        case BackendKind::kTaglessAtomic:
-            return make_atomic_backend(cfg, stats, reclaim);
         case BackendKind::kTaglessTable:
         case BackendKind::kTaggedTable:
             return make_table_backend(cfg, stats, reclaim);

@@ -10,11 +10,6 @@ namespace {
 using stm::BackendKind;
 using stm::StmConfig;
 
-[[nodiscard]] bool is_table_family(BackendKind kind) noexcept {
-    return kind == BackendKind::kTaglessTable ||
-           kind == BackendKind::kTaggedTable;
-}
-
 /// The deterministic test/fuzz rotation: every transition the adaptive
 /// protocol supports, one per epoch, returning home on the fourth. Stages
 /// are recognized from the config itself (no hidden state), so replaying a
@@ -27,15 +22,6 @@ using stm::StmConfig;
         next.tl2_clock = current.tl2_clock == stm::Tl2Clock::kGv5
                              ? stm::Tl2Clock::kGv1
                              : stm::Tl2Clock::kGv5;
-        return next;
-    }
-    if (current.backend == BackendKind::kTaglessAtomic) {
-        // The atomic family has no tagged or lazy variant; toggle a resize.
-        next.table.entries =
-            current.table.entries == initial.table.entries &&
-                    initial.table.entries * 2 <= policy.max_entries
-                ? initial.table.entries * 2
-                : initial.table.entries;
         return next;
     }
     // Table family: initial shape → toggled tag → lazy → grown → initial.
@@ -87,7 +73,7 @@ using stm::StmConfig;
 [[nodiscard]] std::optional<StmConfig> decide_tables(
     const PolicyConfig& policy, const StmConfig& current,
     const EpochSample& sample) {
-    const bool tagless = current.backend != BackendKind::kTaggedTable;
+    const bool tagless = current.backend == BackendKind::kTaglessTable;
     StmConfig next = current;
     if (tagless && sample.per_commit(sample.false_conflicts) > policy.false_hi) {
         // Aliasing hurts. Grow to where the birthday model predicts a 4x
@@ -103,22 +89,13 @@ using stm::StmConfig;
             sample.concurrency, sample.footprint_blocks(), policy.false_hi / 4,
             current.table.entries * 2, policy.max_entries);
         const bool hot_spot = measured > 4.0 * modeled;
-        if (grown != 0 && !hot_spot &&
-            current.backend != BackendKind::kTaglessAtomic) {
+        if (grown != 0 && !hot_spot) {
             next.table.entries = grown;
-            return next;
-        }
-        if (current.backend == BackendKind::kTaglessTable) {
+        } else {
             next.backend = BackendKind::kTaggedTable;
-            return next;
         }
-        if (grown != 0) {  // atomic family: growth is the only lever
-            next.table.entries = grown;
-            return next;
-        }
-        return std::nullopt;
+        return next;
     }
-    if (!is_table_family(current.backend)) return std::nullopt;
     // Acquisition-mode rule: the auto policy never *initiates* commit-time
     // acquisition. Under the table engines' sole-reader upgrade rule, lazy
     // acquisition livelocks read-modify-write transactions outright — every
@@ -207,9 +184,6 @@ std::string engine_spec(const stm::StmConfig& cfg) {
         case BackendKind::kTl2:
             return std::string("tl2 clock=") +
                    std::string(stm::to_string(cfg.tl2_clock));
-        case BackendKind::kTaglessAtomic:
-            return "table=atomic_tagless entries=" +
-                   std::to_string(cfg.table.entries);
         case BackendKind::kTaglessTable:
         case BackendKind::kTaggedTable:
             return std::string("table=") +

@@ -43,8 +43,8 @@ ParallelRunner::ParallelRunner(ParallelConfig config,
         throw std::invalid_argument("threads must be >= 1");
     }
     // Fail fast instead of deadlocking in make_executor: each thread pins
-    // one backend context, and table backends have finite TxId capacity
-    // (62 for the atomic table — the cap this engine exists to respect).
+    // one backend context, and the table engine has finite TxId capacity
+    // (62 — the lock-free tagless entry word's sharer bits).
     const std::uint32_t cap = stm_->max_live_executors();
     if (config_.threads > cap) {
         throw std::invalid_argument(

@@ -66,12 +66,12 @@ struct ParallelResult {
 };
 
 /// The execution engine. Construction validates the thread count against
-/// the selected backend's executor capacity (62 for `atomic`, 64 for the
-/// lock-based tables) and fails fast with the actual cap in the message.
+/// the selected backend's executor capacity (62 for the table engine,
+/// either organization) and fails fast with the actual cap in the message.
 class ParallelRunner {
 public:
     /// Builds engine, STM and workload from one Config — the all-flags path
-    /// (`--threads=8 --backend=atomic --workload=zipf --ops=100000 ...`).
+    /// (`--threads=8 --backend=table --workload=zipf --ops=100000 ...`).
     explicit ParallelRunner(const config::Config& cfg);
 
     /// Pre-built components (tests that need to inspect the workload).

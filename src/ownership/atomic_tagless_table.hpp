@@ -1,10 +1,10 @@
 // atomic_tagless_table.hpp — a lock-free concurrent tagless ownership table.
 //
 // `TaglessTable` is the faithful single-threaded model of paper Fig. 1 used
-// by the simulators (and by the STM under one global lock). This class is
-// the production-concurrency variant: each entry is a single atomic word
-// manipulated with CAS, so transactions on different threads acquire and
-// release entries without any shared lock.
+// by the simulators. This class is the concurrent variant the STM's tagless
+// engine runs on: each entry is a single atomic word manipulated with CAS,
+// so transactions on different threads acquire and release entries without
+// any shared lock.
 //
 // Entry word layout (64 bits):
 //   bits 63..62  mode: 0 = Free, 1 = Read, 2 = Write

@@ -6,10 +6,9 @@
 // conflict — the false conflicts whose rate the paper models.
 //
 // Concurrency note: this class is the *organization* under study and is
-// used single-threaded by the simulators; the STM wraps it in its own
-// synchronization (one global table lock suffices for the block-granular
-// acquire path and keeps the organization's behaviour unpolluted by
-// lock-splitting artifacts).
+// single-threaded: the simulators drive it directly, and it is the
+// reference model AtomicTaglessTable is tested against. The STM runs the
+// same organization on AtomicTaglessTable (one CAS per acquire, no lock).
 #pragma once
 
 #include <cstdint>

@@ -861,7 +861,6 @@ std::vector<BackendPair> default_backend_pairs() {
         {"table", "tagged", false},
         {"table", "tagless", true},
         {"table", "tagged", true},
-        {"atomic", "", false},
     };
 }
 

@@ -69,7 +69,7 @@ inline constexpr std::uint32_t kMaxSlots = 4096;
 /// same `--key=value` vocabulary as every other driver.
 struct HarnessConfig {
     // --- STM selection (forwarded to stm::Stm::create) ---
-    std::string backend = "table";  ///< tl2 | table | atomic | adaptive
+    std::string backend = "table";  ///< tl2 | table | adaptive
     std::string table = "tagless";  ///< organization, table/adaptive backends
     std::uint64_t entries = 16;     ///< ownership-table slots (small ⇒ aliasing)
     bool commit_time_locks = false;
@@ -273,7 +273,7 @@ struct BackendPair {
     [[nodiscard]] std::string label() const;
 };
 
-/// Every built-in pair: tl2, table×{tagless,tagged}×{eager,lazy}, atomic.
+/// Every built-in pair: tl2, table×{tagless,tagged}×{eager,lazy}.
 [[nodiscard]] std::vector<BackendPair> default_backend_pairs();
 
 /// The differential oracle: runs one schedule seed across `pairs` (all

@@ -97,9 +97,9 @@ public:
     virtual void abort(TxContext& cx) = 0;
 
     /// Largest number of contexts that can be live simultaneously without
-    /// make_context() blocking — the table's TxId capacity for table
-    /// backends (62 for atomic_tagless, else 64); unbounded for tl2. The
-    /// execution engine validates its thread count against this.
+    /// make_context() blocking — 62 (ownership::kMaxAtomicTx) for the table
+    /// engine, whichever organization; unbounded for tl2. The execution
+    /// engine validates its thread count against this.
     [[nodiscard]] virtual std::uint32_t max_live_contexts() const noexcept {
         return ownership::kMaxTx;
     }
@@ -127,8 +127,6 @@ public:
                                                         SharedStats& stats,
                                                         ReclaimDomain& reclaim);
 [[nodiscard]] std::unique_ptr<Backend> make_table_backend(
-    const StmConfig& config, SharedStats& stats, ReclaimDomain& reclaim);
-[[nodiscard]] std::unique_ptr<Backend> make_atomic_backend(
     const StmConfig& config, SharedStats& stats, ReclaimDomain& reclaim);
 /// The epoch-based policy layer (src/adapt/adaptive_stm.cpp); wraps one of
 /// the engines above per StmConfig::adapt.

@@ -1,6 +1,6 @@
 // instrumentation.hpp — the unified per-backend instrumentation block.
 //
-// Every STM backend (tl2 / table / atomic) reports into one `Instrumentation`
+// Every STM backend (tl2 / table / adaptive) reports into one `Instrumentation`
 // struct owned by its `Stm` instance: commit/abort counts, the paper's
 // true- vs false-conflict classification, and a per-transaction retry
 // histogram (how many attempts each committed transaction needed — the

@@ -47,7 +47,8 @@ enum class YieldSite : std::uint8_t {
     kTableLazyRead = 3,    ///< lazy table encounter-time read acquire
     kTableLazyCommit = 4,  ///< lazy table commit-time lock acquisition
     kTl2Load = 5,          ///< TL2 versioned load
-    kAtomicAcquire = 6,    ///< atomic-table acquire (read or write)
+    // 6 is retired (a removed engine's acquire site): never reuse it, so
+    // recorded corpus signatures keep their meaning.
     kAdaptDrain = 7,       ///< adaptive begin parked behind a pending swap
     kAdaptSwap = 8,        ///< adaptive quiesce-and-swap transition
     kTxAlloc = 9,          ///< tx_alloc about to allocate
@@ -148,7 +149,7 @@ inline void scheduler_yield(YieldPoint point, YieldSite site) {
 /// are not serializable — which the sched harness's oracle must catch.
 /// Relaxed atomics: the flags are toggled only at quiescent points in tests.
 struct TestFaults {
-    /// Table/atomic backends: a failed ownership acquire proceeds as if it
+    /// Table backend: a failed ownership acquire proceeds as if it
     /// had succeeded (without recording ownership) instead of aborting —
     /// dirty reads and racy in-place writes.
     std::atomic<bool> ignore_acquire_conflicts{false};

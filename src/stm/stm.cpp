@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "config/registry.hpp"
-#include "ownership/any_table.hpp"
 #include "stm/backend.hpp"
 #include "stm/contention.hpp"
 #include "stm/sched_hook.hpp"
@@ -36,10 +35,6 @@ BackendRegistry& backend_registry() {
                           detail::SharedStats& s, detail::ReclaimDomain& d) {
             return detail::make_table_backend(c, s, d);
         });
-        r.add_default("atomic", [](const config::Config&, const StmConfig& c,
-                           detail::SharedStats& s, detail::ReclaimDomain& d) {
-            return detail::make_atomic_backend(c, s, d);
-        });
         r.add_default("adaptive", [](const config::Config&, const StmConfig& c,
                              detail::SharedStats& s, detail::ReclaimDomain& d) {
             return detail::make_adaptive_backend(c, s, d);
@@ -54,7 +49,6 @@ BackendRegistry& backend_registry() {
 [[nodiscard]] std::string_view registry_key(BackendKind kind) noexcept {
     switch (kind) {
         case BackendKind::kTl2: return "tl2";
-        case BackendKind::kTaglessAtomic: return "atomic";
         case BackendKind::kTaglessTable:
         case BackendKind::kTaggedTable: return "table";
         case BackendKind::kAdaptive: return "adaptive";
@@ -99,7 +93,6 @@ BackendRegistry& backend_registry() {
 std::string_view to_string(BackendKind kind) noexcept {
     switch (kind) {
         case BackendKind::kTaglessTable: return "tagless-table";
-        case BackendKind::kTaglessAtomic: return "tagless-atomic";
         case BackendKind::kTaggedTable: return "tagged-table";
         case BackendKind::kTl2: return "tl2";
         case BackendKind::kAdaptive: return "adaptive";
@@ -109,10 +102,6 @@ std::string_view to_string(BackendKind kind) noexcept {
 
 BackendKind backend_kind_from_string(std::string_view name) {
     if (name == "tl2") return BackendKind::kTl2;
-    if (name == "atomic" || name == "tagless-atomic" ||
-        name == "atomic_tagless") {
-        return BackendKind::kTaglessAtomic;
-    }
     if (name == "tagless" || name == "tagless-table" || name == "table") {
         return BackendKind::kTaglessTable;
     }
@@ -122,7 +111,7 @@ BackendKind backend_kind_from_string(std::string_view name) {
     if (name == "adaptive") return BackendKind::kAdaptive;
     throw std::invalid_argument(
         "unknown STM backend '" + std::string(name) +
-        "' (known: tl2, table, atomic, tagless, tagged, adaptive)");
+        "' (known: tl2, table, tagless, tagged, adaptive)");
 }
 
 std::vector<std::string> backend_names() { return backend_registry().names(); }
@@ -153,21 +142,18 @@ StmConfig stm_config_from(const config::Config& cfg) {
     // by the static path and the adaptive path's `engine=` key.
     const auto concrete_kind = [&cfg](const std::string& engine) {
         if (engine == "table") {
-            switch (ownership::table_kind_from_string(
-                cfg.get("table", "tagless"))) {
-                case ownership::TableKind::kTagless:
-                    return BackendKind::kTaglessTable;
-                case ownership::TableKind::kTagged:
-                    return BackendKind::kTaggedTable;
-                case ownership::TableKind::kAtomicTagless:
-                    return BackendKind::kTaglessAtomic;
-            }
+            const std::string table = cfg.get("table", "tagless");
+            if (table == "tagless") return BackendKind::kTaglessTable;
+            if (table == "tagged") return BackendKind::kTaggedTable;
+            throw std::invalid_argument(
+                "unknown STM table organization '" + table +
+                "' (known: tagless, tagged)");
         }
         const BackendKind kind = backend_kind_from_string(engine);
         if (kind == BackendKind::kAdaptive) {
             throw std::invalid_argument(
                 "adaptive engine= must name a concrete engine "
-                "(table, tagless, tagged, atomic, tl2)");
+                "(table, tagless, tagged, tl2)");
         }
         (void)cfg.get("table", "");  // engine pinned; consume a stray table=
         return kind;

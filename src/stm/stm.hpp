@@ -4,7 +4,8 @@
 // STM whose conflict-detection metadata organization is pluggable:
 //
 //   * BackendKind::kTaglessTable — ownership table per paper Fig. 1
-//     (encounter-time two-phase locking; false conflicts under aliasing);
+//     (two-phase locking over lock-free single-CAS entries; false
+//     conflicts under aliasing);
 //   * BackendKind::kTaggedTable  — ownership table per paper Fig. 7
 //     (tags + chaining; no false conflicts);
 //   * BackendKind::kTl2          — TL2-style versioned write-locks with a
@@ -23,8 +24,11 @@
 // locking with abort-on-conflict (no waiting → no deadlock); TL2 validates
 // read versions against the global clock at access and commit time.
 //
-// Threading: any thread may call atomically() at any time; at most 64
-// transactions may be live simultaneously (table holder bitmaps are 64-bit).
+// Threading: any thread may call atomically() at any time; with a table
+// backend at most 62 transactions may be live simultaneously (a tagless
+// entry is one 64-bit word whose top two bits hold the mode, leaving 62
+// sharer bits; tagged tables share the cap so the adaptive runtime can
+// swap between them). Further callers block until a slot frees up.
 // Weak isolation: non-transactional accesses to data that a live
 // transaction touches are not detected (the paper's §6 discusses why strong
 // isolation makes tagless tables even less tenable).
@@ -53,20 +57,20 @@ namespace tmb::stm {
 
 /// Metadata organizations available to the runtime.
 ///
-///   kTaglessTable   — Fig. 1 organization under one global metadata lock
-///                     (exact conflict classification; the reference).
-///   kTaglessAtomic  — same organization, lock-free single-CAS entries
-///                     (production fast path; best-effort classification;
-///                     at most 62 concurrent transactions).
+///   kTaglessTable   — Fig. 1 organization on lock-free single-CAS entries
+///                     (true/false classification exact under the sched
+///                     harness, best-effort on real threads).
 ///   kTaggedTable    — Fig. 7 tagged/chaining organization (no false
-///                     conflicts), global metadata lock.
+///                     conflicts), one metadata mutex.
 ///   kTl2            — TL2-style versioned locks + global version clock.
 ///   kAdaptive       — epoch-based policy layer (src/adapt/) wrapping one
 ///                     of the concrete engines above, re-tuning table
 ///                     organization / size / acquisition / clock online.
+///
+/// Both table kinds run on one engine (stm/table_backend.cpp) capped at 62
+/// live transactions.
 enum class BackendKind {
     kTaglessTable,
-    kTaglessAtomic,
     kTaggedTable,
     kTl2,
     kAdaptive,
@@ -76,12 +80,12 @@ enum class BackendKind {
 
 /// Inverse of to_string for runtime `--backend=` flags. Accepts the
 /// canonical names plus the registry keys "table" (tagless organization),
-/// "tagless", "tagged", "atomic" and "tl2"; throws std::invalid_argument
-/// on anything else.
+/// "tagless", "tagged" and "tl2"; throws std::invalid_argument on anything
+/// else.
 [[nodiscard]] BackendKind backend_kind_from_string(std::string_view name);
 
 /// Backend registry keys, in registration order ("tl2", "table",
-/// "atomic"). `Stm::create` resolves `backend=` against these; new engines
+/// "adaptive"). `Stm::create` resolves `backend=` against these; new engines
 /// registered in config::Registry<detail::Backend, ...> appear here too.
 [[nodiscard]] std::vector<std::string> backend_names();
 
@@ -164,7 +168,7 @@ struct StmConfig {
 };
 
 /// Parses an StmConfig from string key/values. Keys:
-///   backend           tl2 | table | atomic | tagless | tagged (default
+///   backend           tl2 | table | tagless | tagged | adaptive (default
 ///                     "tagged"; "table" selects the organization named by
 ///                     `table`)
 ///   table             ownership organization for table backends
@@ -185,7 +189,7 @@ struct StmConfig {
 ///
 /// backend=adaptive adds:
 ///   engine       initial wrapped engine: table (organization from `table`,
-///                default) | tl2 | atomic
+///                default) | tagless | tagged | tl2
 ///   policy       off | auto | cycle (default auto)
 ///   epoch        commits per policy epoch (default 4096)
 ///   epoch_ms     wall-clock epoch bound in ms (default 0 = disabled)
@@ -505,11 +509,12 @@ public:
     ///   auto tm = Stm::create(config::Config::from_string(
     ///       "backend=table table=tagless entries=16384"));
     ///
-    /// Note: the table backends are compiled against the built-in
-    /// organizations, so `table=` must name one of tagless / tagged /
-    /// atomic_tagless here; organizations registered at runtime in the
-    /// AnyTable registry are available to the simulators and the hybrid TM,
-    /// not (yet) to the STM engine.
+    /// Note: the table engine is compiled against the built-in
+    /// organizations, so `table=` must name tagless or tagged here (the
+    /// STM's tagless engine already runs on the lock-free table, so the
+    /// simulators' atomic_tagless is rejected); organizations registered at
+    /// runtime in the AnyTable registry are available to the simulators and
+    /// the hybrid TM, not (yet) to the STM engine.
     [[nodiscard]] static std::unique_ptr<Stm> create(const config::Config& cfg);
 
     Stm(const Stm&) = delete;
@@ -536,8 +541,8 @@ public:
     [[nodiscard]] std::unique_ptr<Executor> make_executor();
 
     /// Number of Executors (more generally: concurrently live transactions)
-    /// the configured backend supports — bounded by the selected table's
-    /// TxId capacity (62 for the atomic table, 64 for the lock-based ones);
+    /// the configured backend supports — 62 for the table engine (both
+    /// organizations, and an adaptive wrapper started on either);
     /// effectively unbounded for tl2.
     [[nodiscard]] std::uint32_t max_live_executors() const noexcept;
 

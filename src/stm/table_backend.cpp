@@ -1,35 +1,49 @@
-// table_backend.cpp — ownership-table STM backend (tagless or tagged).
+// table_backend.cpp — the ownership-table STM engine (tagless or tagged).
 //
 // This is the organization the paper analyzes: transactional accesses are
-// tracked at cache-block granularity in a central ownership table
-// (encounter-time two-phase locking). Writes are performed in place under
-// write ownership with an undo log; a conflicting acquire aborts the
-// acquiring transaction immediately (no waiting → no deadlock), rolls back,
-// and retries.
+// tracked at cache-block granularity in a central ownership table (strict
+// two-phase locking). A conflicting acquire aborts the acquiring
+// transaction immediately (no waiting → no deadlock), rolls back, and
+// retries. Reads always acquire ownership at encounter; writes either
 //
-// Conflict classification: on a failed acquire the table reports the bitmap
-// of conflicting transactions; under the same lock we check whether any of
-// them holds the *same block*. If none does, the conflict is alias-induced —
-// a false conflict (possible only with the tagless organization).
+//   * eager — acquire write ownership at first write and update in place
+//     under an undo log, or
+//   * lazy (commit_time_locks) — go to a redo buffer and acquire write
+//     ownership inside commit(), one entry at a time, before write-back.
 //
-// Synchronization: one mutex guards the table and the per-slot held-block
-// sets. This serializes metadata operations only — data reads/writes happen
-// outside the lock, made safe by the two-phase-locking invariant. The
-// single lock keeps the *organization's* behaviour (the object of study)
-// free of lock-splitting artifacts.
+// Both disciplines share one acquire / classify / release core, templated
+// on the organization:
+//
+//   * tagless — ownership::AtomicTaglessTable: one word per entry, one CAS
+//     per acquire, no lock on the acquire or release path (paper §2.1's
+//     appeal to implementers). A failed acquire is classified by looking
+//     the block up in the conflicting slots' footprints (true: one of them
+//     holds this very block; false: only an alias). Under the sched harness
+//     one virtual thread runs at a time and acquire plus footprint insert
+//     are one step, so the split is exact; on real threads a conflicting
+//     transaction may finish between the failed CAS and the lookup, so it
+//     is best-effort.
+//   * tagged — ownership::TaggedTable, a single-threaded structure behind
+//     one mutex. A tagged conflict is on the same block by construction,
+//     so it is always a true conflict.
+//
+// Both organizations cap concurrency at kMaxAtomicTx (62) transactions: the
+// adaptive wrapper quotes its initial engine's capacity and may later swap
+// tagged for tagless, so the whole family hands out one TxId range.
 //
 // Per-transaction state is allocation-free (stm/txlocal.hpp): the block →
-// mode cache and the per-slot held-block footprints are SmallMap/SmallSet
-// (inline storage, O(1) epoch clear), and the undo/redo logs are vectors
-// that keep their capacity across retries and transactions. A steady-state
-// transaction run through an Executor performs zero heap allocations.
+// mode map and the per-slot footprints are SmallMap/SmallSet (inline
+// storage, O(1) epoch clear), and the undo/redo logs keep their capacity
+// across retries and transactions. A steady-state transaction run through
+// an Executor performs zero heap allocations.
 
 #include <array>
+#include <bit>
 #include <mutex>
 #include <vector>
 
+#include "ownership/atomic_tagless_table.hpp"
 #include "ownership/tagged_table.hpp"
-#include "ownership/tagless_table.hpp"
 #include "stm/backend.hpp"
 #include "stm/sched_hook.hpp"
 #include "stm/slot_pool.hpp"
@@ -41,382 +55,287 @@ namespace tmb::stm::detail {
 namespace {
 
 using ownership::AcquireResult;
+using ownership::kMaxAtomicTx;
 using ownership::Mode;
 using ownership::TxId;
+
+/// Block → strongest mode one transaction holds.
+using BlockModes = SmallMap<std::uint64_t, Mode>;
+
+[[nodiscard]] AcquireResult acquire_in(auto& table, TxId slot,
+                                       std::uint64_t block, Mode mode) {
+    return mode == Mode::kWrite ? table.acquire_write(slot, block)
+                                : table.acquire_read(slot, block);
+}
+
+/// Tagless organization: the lock-free table plus, per slot, the blocks the
+/// slot's transaction holds (padded so slots do not share a cache line).
+class TaglessOwnership {
+public:
+    explicit TaglessOwnership(const ownership::TableConfig& shape)
+        : table_(shape) {}
+
+    [[nodiscard]] AcquireResult acquire(TxId slot, std::uint64_t block,
+                                        Mode mode) {
+        const AcquireResult r = acquire_in(table_, slot, block, mode);
+        if (r.ok) {
+            Footprint& fp = footprints_[slot];
+            const std::lock_guard<std::mutex> guard(fp.mutex);
+            fp.blocks.insert(block);
+        }
+        return r;
+    }
+
+    /// True iff one of the `conflicting` slots holds `block` itself.
+    [[nodiscard]] bool same_block(std::uint64_t block,
+                                  std::uint64_t conflicting) {
+        while (conflicting != 0) {
+            const auto slot =
+                static_cast<std::uint32_t>(std::countr_zero(conflicting));
+            conflicting &= conflicting - 1;
+            Footprint& fp = footprints_[slot];
+            const std::lock_guard<std::mutex> guard(fp.mutex);
+            if (fp.blocks.contains(block)) return true;
+        }
+        return false;
+    }
+
+    void release_all(TxId slot, const BlockModes& held) {
+        held.for_each([&](std::uint64_t block, Mode mode) {
+            table_.release(slot, block, mode);
+        });
+        Footprint& fp = footprints_[slot];
+        const std::lock_guard<std::mutex> guard(fp.mutex);
+        fp.blocks.clear();
+    }
+
+    [[nodiscard]] std::uint64_t occupied_entries() const noexcept {
+        return table_.occupied_entries();
+    }
+
+private:
+    struct alignas(64) Footprint {
+        std::mutex mutex;
+        SmallSet<std::uint64_t> blocks;
+    };
+
+    ownership::AtomicTaglessTable table_;
+    std::array<Footprint, kMaxAtomicTx> footprints_;
+};
+
+/// Tagged organization: the chaining table behind one mutex.
+class TaggedOwnership {
+public:
+    explicit TaggedOwnership(const ownership::TableConfig& shape)
+        : table_(shape) {}
+
+    [[nodiscard]] AcquireResult acquire(TxId slot, std::uint64_t block,
+                                        Mode mode) {
+        const std::lock_guard<std::mutex> guard(mutex_);
+        return acquire_in(table_, slot, block, mode);
+    }
+
+    /// Tags make every conflict one on the block itself.
+    [[nodiscard]] static bool same_block(std::uint64_t /*block*/,
+                                         std::uint64_t /*conflicting*/) {
+        return true;
+    }
+
+    void release_all(TxId slot, const BlockModes& held) {
+        const std::lock_guard<std::mutex> guard(mutex_);
+        held.for_each([&](std::uint64_t block, Mode mode) {
+            table_.release(slot, block, mode);
+        });
+    }
+
+    [[nodiscard]] std::uint64_t occupied_entries() const noexcept {
+        const std::lock_guard<std::mutex> guard(mutex_);
+        return table_.occupied_entries();
+    }
+
+private:
+    mutable std::mutex mutex_;
+    ownership::TaggedTable table_;
+};
 
 struct UndoEntry {
     std::uint64_t* addr;
     std::uint64_t old_value;
 };
 
-/// Block → strongest-mode map of one transaction (the local cache avoiding
-/// table trips) and the per-slot footprint sets share this shape.
-using BlockModes = SmallMap<std::uint64_t, Mode>;
-using BlockSet = SmallSet<std::uint64_t>;
-
-template <typename Table>
-class TableBackend;
-
-template <typename Table>
 class TableContext final : public TxContext {
 public:
-    TableContext(TableBackend<Table>& backend, TxId slot)
-        : backend_(backend), slot_(slot) {}
-    ~TableContext() override;
+    TableContext(SlotPool& slots, TxId slot) : slots_(slots), slot_(slot) {}
+    ~TableContext() override { slots_.release(slot_); }
 
-    TableBackend<Table>& backend_;
-    TxId slot_;
-    BlockModes modes_;
-    std::vector<UndoEntry> undo_;
+    SlotPool& slots_;
+    const TxId slot_;
+    BlockModes held_;
+    std::vector<UndoEntry> undo_;  ///< eager: in-place writes, oldest first
+    /// Lazy: one entry per address in first-write order (rewrites update in
+    /// place), with the shared scan-then-index lookup.
+    WriteLog redo_;
 };
 
-template <typename Table>
+template <typename Ownership, bool kLazy>
 class TableBackend final : public Backend {
 public:
     TableBackend(const StmConfig& config, SharedStats& stats)
         : stats_(stats),
           block_shift_(util::log2_pow2(util::next_pow2(config.block_bytes))),
-          table_(config.table) {}
+          ownership_(config.table),
+          slots_(kMaxAtomicTx) {}
 
     std::unique_ptr<TxContext> make_context() override {
-        const TxId slot = slots_.acquire();
-        return std::make_unique<TableContext<Table>>(*this, slot);
+        return std::make_unique<TableContext>(slots_, slots_.acquire());
+    }
+
+    std::uint32_t max_live_contexts() const noexcept override {
+        return kMaxAtomicTx;
+    }
+
+    std::uint64_t occupied_metadata_entries() const noexcept override {
+        return ownership_.occupied_entries();
     }
 
     void begin(TxContext& cx_base) override {
-        auto& cx = static_cast<TableContext<Table>&>(cx_base);
-        cx.modes_.clear();
+        auto& cx = static_cast<TableContext&>(cx_base);
+        cx.held_.clear();
         cx.undo_.clear();
+        cx.redo_.clear();
     }
 
     std::uint64_t load(TxContext& cx_base, const std::uint64_t* addr) override {
-        auto& cx = static_cast<TableContext<Table>&>(cx_base);
-        const std::uint64_t block = block_of(addr);
-        if (!cx.modes_.contains(block)) {
-            acquire_block(cx, block, /*for_write=*/false);
+        auto& cx = static_cast<TableContext&>(cx_base);
+        if constexpr (kLazy) {
+            // Read-your-own-write from the redo buffer.
+            if (const WriteLog::Entry* entry = cx.redo_.find(addr)) {
+                return entry->value;
+            }
         }
-        return *addr;  // safe: we hold >= read ownership (2PL)
+        const std::uint64_t block = block_of(addr);
+        if (!cx.held_.contains(block)) {
+            scheduler_yield(YieldPoint::kAcquireRead,
+                            kLazy ? YieldSite::kTableLazyRead
+                                  : YieldSite::kTableAcquire);
+            if (!acquire(cx, block, Mode::kRead)) throw ConflictAbort{};
+        }
+        return *addr;  // safe: >= read ownership until transaction end (2PL)
     }
 
     void store(TxContext& cx_base, std::uint64_t* addr,
                std::uint64_t value) override {
-        auto& cx = static_cast<TableContext<Table>&>(cx_base);
-        const std::uint64_t block = block_of(addr);
-        const Mode* held = cx.modes_.find(block);
-        if (held == nullptr || *held != Mode::kWrite) {
-            acquire_block(cx, block, /*for_write=*/true);
+        auto& cx = static_cast<TableContext&>(cx_base);
+        if constexpr (kLazy) {
+            // Ownership deferred to commit.
+            if (WriteLog::Entry* entry = cx.redo_.find(addr)) {
+                entry->value = value;
+            } else {
+                cx.redo_.push(addr, value);
+            }
+        } else {
+            const std::uint64_t block = block_of(addr);
+            const Mode* held = cx.held_.find(block);
+            if (held == nullptr || *held != Mode::kWrite) {
+                scheduler_yield(YieldPoint::kAcquireWrite,
+                                YieldSite::kTableAcquire);
+                if (!acquire(cx, block, Mode::kWrite)) throw ConflictAbort{};
+            }
+            cx.undo_.push_back({addr, *addr});
+            *addr = value;  // in place, exclusive under write ownership
         }
-        cx.undo_.push_back({addr, *addr});
-        *addr = value;  // in place, exclusive under write ownership
     }
 
     bool commit(TxContext& cx_base) override {
-        auto& cx = static_cast<TableContext<Table>&>(cx_base);
+        auto& cx = static_cast<TableContext&>(cx_base);
+        if constexpr (kLazy) {
+            // Each commit-time acquire is a scheduling point, so two lazy
+            // commits may interleave here. Any two that both succeed have
+            // compatible lock sets (a conflicting pair aborts one), so
+            // commit-completion order stays a valid serialization order.
+            for (const WriteLog::Entry& entry : cx.redo_.entries()) {
+                const std::uint64_t block = block_of(entry.addr);
+                const Mode* held = cx.held_.find(block);
+                if (held != nullptr && *held == Mode::kWrite) continue;
+                try {
+                    scheduler_yield(YieldPoint::kAcquireWrite,
+                                    YieldSite::kTableLazyCommit);
+                } catch (...) {
+                    release_all(cx);  // cancellation: clean exit
+                    throw;
+                }
+                if (!acquire(cx, block, Mode::kWrite)) {
+                    release_all(cx);
+                    return false;  // retry
+                }
+            }
+            // Write back under exclusive ownership (one entry per address,
+            // each holding its final value).
+            for (const WriteLog::Entry& entry : cx.redo_.entries()) {
+                *entry.addr = entry.value;
+            }
+        }
         release_all(cx);
         return true;  // 2PL: reaching commit means the transaction is valid
     }
 
     void abort(TxContext& cx_base) override {
-        auto& cx = static_cast<TableContext<Table>&>(cx_base);
-        // Roll back newest-first; we still hold exclusive write ownership of
-        // every touched block, so plain stores are race-free.
+        auto& cx = static_cast<TableContext&>(cx_base);
+        // Eager: roll back newest-first while still holding exclusive write
+        // ownership of every touched block. Lazy: nothing was published.
         for (auto it = cx.undo_.rbegin(); it != cx.undo_.rend(); ++it) {
             *it->addr = it->old_value;
         }
         release_all(cx);
     }
 
-    void release_slot(TxId slot) {
-        {
-            const std::lock_guard<std::mutex> guard(mutex_);
-            held_blocks_[slot].clear();
-        }
-        slots_.release(slot);
-    }
-
-    std::uint64_t occupied_metadata_entries() const noexcept override {
-        const std::lock_guard<std::mutex> guard(mutex_);
-        return table_.occupied_entries();
-    }
-
 private:
     [[nodiscard]] std::uint64_t block_of(const std::uint64_t* addr) const noexcept {
         return reinterpret_cast<std::uintptr_t>(addr) >> block_shift_;
     }
 
-    void acquire_block(TableContext<Table>& cx, std::uint64_t block,
-                       bool for_write) {
-        scheduler_yield(for_write ? YieldPoint::kAcquireWrite
-                                  : YieldPoint::kAcquireRead,
-                        YieldSite::kTableAcquire);
-        const std::lock_guard<std::mutex> guard(mutex_);
-        const AcquireResult r = for_write ? table_.acquire_write(cx.slot_, block)
-                                          : table_.acquire_read(cx.slot_, block);
-        if (!r.ok) {
-            if (test_faults().ignore_acquire_conflicts.load(
-                    std::memory_order_relaxed)) {
-                return;  // test-only fault: proceed without ownership
-            }
-            classify_conflict(block, r.conflicting);
-            throw ConflictAbort{};
+    /// True: `cx` holds `block` in `mode`. False: a conflict, classified and
+    /// counted; the caller aborts. The test-only ignore fault turns a
+    /// conflict into `true` without recording ownership — dirty reads and
+    /// racy writes, which the sched oracle must catch.
+    [[nodiscard]] bool acquire(TableContext& cx, std::uint64_t block,
+                               Mode mode) {
+        const AcquireResult r = ownership_.acquire(cx.slot_, block, mode);
+        if (r.ok) {
+            cx.held_.put(block, mode);
+            return true;
         }
-        held_blocks_[cx.slot_].insert(block);
-        cx.modes_.put(block, for_write ? Mode::kWrite : Mode::kRead);
-    }
-
-    /// Pre: mutex_ held.
-    void classify_conflict(std::uint64_t block, std::uint64_t conflicting) {
-        bool same_block = false;
-        while (conflicting != 0) {
-            const auto slot = static_cast<std::uint32_t>(std::countr_zero(conflicting));
-            conflicting &= conflicting - 1;
-            if (held_blocks_[slot].contains(block)) {
-                same_block = true;
-                break;
-            }
+        if (test_faults().ignore_acquire_conflicts.load(
+                std::memory_order_relaxed)) {
+            return true;
         }
-        auto& counter = same_block ? stats_.true_conflicts : stats_.false_conflicts;
+        auto& counter = ownership_.same_block(block, r.conflicting)
+                            ? stats_.true_conflicts
+                            : stats_.false_conflicts;
         counter.fetch_add(1, std::memory_order_relaxed);
+        return false;
     }
 
-    void release_all(TableContext<Table>& cx) {
-        const std::lock_guard<std::mutex> guard(mutex_);
-        cx.modes_.for_each([&](std::uint64_t block, Mode mode) {
-            table_.release(cx.slot_, block, mode);
-        });
-        held_blocks_[cx.slot_].clear();
-        cx.modes_.clear();
+    void release_all(TableContext& cx) {
+        ownership_.release_all(cx.slot_, cx.held_);
+        cx.held_.clear();
         cx.undo_.clear();
-    }
-
-    SharedStats& stats_;
-    unsigned block_shift_;
-    mutable std::mutex mutex_;
-    Table table_;
-    std::array<BlockSet, ownership::kMaxTx> held_blocks_;
-    SlotPool slots_;
-};
-
-template <typename Table>
-TableContext<Table>::~TableContext() {
-    backend_.release_slot(slot_);
-}
-
-// ---------------------------------------------------------------------------
-// Lazy (commit-time-locking) variant: reads acquire ownership at encounter,
-// writes go to a redo buffer and acquire ownership only inside commit().
-// Still strict 2PL (all locks are held simultaneously at the commit point),
-// so serializability is unchanged; write-write conflicts just surface later
-// and write ownership is held only across the commit.
-// ---------------------------------------------------------------------------
-
-template <typename Table>
-class LazyTableBackend;
-
-template <typename Table>
-class LazyTableContext final : public TxContext {
-public:
-    LazyTableContext(LazyTableBackend<Table>& backend, TxId slot)
-        : backend_(backend), slot_(slot) {}
-    ~LazyTableContext() override;
-
-    LazyTableBackend<Table>& backend_;
-    TxId slot_;
-    BlockModes held_;  ///< blocks owned (reads + commit-time writes)
-    /// Redo buffer: one entry per address in first-write order (rewrites
-    /// update in place), with the shared scan-then-index lookup.
-    WriteLog redo_;
-};
-
-template <typename Table>
-class LazyTableBackend final : public Backend {
-public:
-    LazyTableBackend(const StmConfig& config, SharedStats& stats)
-        : stats_(stats),
-          block_shift_(util::log2_pow2(util::next_pow2(config.block_bytes))),
-          table_(config.table) {}
-
-    std::unique_ptr<TxContext> make_context() override {
-        const TxId slot = slots_.acquire();
-        return std::make_unique<LazyTableContext<Table>>(*this, slot);
-    }
-
-    void begin(TxContext& cx_base) override {
-        auto& cx = static_cast<LazyTableContext<Table>&>(cx_base);
-        cx.held_.clear();
-        cx.redo_.clear();
-    }
-
-    std::uint64_t load(TxContext& cx_base, const std::uint64_t* addr) override {
-        auto& cx = static_cast<LazyTableContext<Table>&>(cx_base);
-        // Read-your-own-write from the redo buffer.
-        if (const WriteLog::Entry* entry = cx.redo_.find(addr)) {
-            return entry->value;
-        }
-        const std::uint64_t block = block_of(addr);
-        if (!cx.held_.contains(block)) {
-            scheduler_yield(YieldPoint::kAcquireRead,
-                            YieldSite::kTableLazyRead);
-            const std::lock_guard<std::mutex> guard(mutex_);
-            const AcquireResult r = table_.acquire_read(cx.slot_, block);
-            if (!r.ok) {
-                if (test_faults().ignore_acquire_conflicts.load(
-                        std::memory_order_relaxed)) {
-                    return *addr;  // test-only fault: dirty read
-                }
-                classify_conflict(block, r.conflicting);
-                throw ConflictAbort{};
-            }
-            held_blocks_[cx.slot_].insert(block);
-            cx.held_.put(block, Mode::kRead);
-        }
-        return *addr;  // safe: >= read ownership until transaction end
-    }
-
-    void store(TxContext& cx_base, std::uint64_t* addr,
-               std::uint64_t value) override {
-        auto& cx = static_cast<LazyTableContext<Table>&>(cx_base);
-        // Ownership deferred to commit.
-        if (WriteLog::Entry* entry = cx.redo_.find(addr)) {
-            entry->value = value;
-            return;
-        }
-        cx.redo_.push(addr, value);
-    }
-
-    bool commit(TxContext& cx_base) override {
-        auto& cx = static_cast<LazyTableContext<Table>&>(cx_base);
-        if (tls_scheduler_hook == nullptr) {
-            // Real engine: all commit-time acquires under one guard, as a
-            // single metadata operation (no per-entry lock round-trips).
-            const std::lock_guard<std::mutex> guard(mutex_);
-            for (const WriteLog::Entry& entry : cx.redo_.entries()) {
-                const std::uint64_t block = block_of(entry.addr);
-                const Mode* held = cx.held_.find(block);
-                if (held != nullptr && *held == Mode::kWrite) continue;
-                if (!acquire_commit_block_locked(cx, block)) {
-                    release_all_locked(cx);
-                    return false;  // retry
-                }
-            }
-        } else {
-            // Harness: each commit-time acquire is a scheduling point, so
-            // two lazy commits may interleave here. Any two that both
-            // succeed have compatible lock sets (a conflicting pair aborts
-            // one), so commit-completion order stays a valid serialization
-            // order.
-            for (const WriteLog::Entry& entry : cx.redo_.entries()) {
-                const std::uint64_t block = block_of(entry.addr);
-                {
-                    const Mode* held = cx.held_.find(block);
-                    if (held != nullptr && *held == Mode::kWrite) continue;
-                }
-                try {
-                    scheduler_yield(YieldPoint::kAcquireWrite,
-                                    YieldSite::kTableLazyCommit);
-                } catch (...) {
-                    const std::lock_guard<std::mutex> guard(mutex_);
-                    release_all_locked(cx);  // cancellation: clean exit
-                    throw;
-                }
-                const std::lock_guard<std::mutex> guard(mutex_);
-                if (!acquire_commit_block_locked(cx, block)) {
-                    release_all_locked(cx);
-                    return false;  // retry
-                }
-            }
-        }
-        // Write back under exclusive ownership (one entry per address, each
-        // holding its final value), then drop everything.
-        for (const WriteLog::Entry& entry : cx.redo_.entries()) {
-            *entry.addr = entry.value;
-        }
-        const std::lock_guard<std::mutex> guard(mutex_);
-        release_all_locked(cx);
-        return true;
-    }
-
-    void abort(TxContext& cx_base) override {
-        auto& cx = static_cast<LazyTableContext<Table>&>(cx_base);
-        // Nothing was published (redo buffering): just drop ownership.
-        const std::lock_guard<std::mutex> guard(mutex_);
-        release_all_locked(cx);
-    }
-
-    void release_slot(TxId slot) {
-        {
-            const std::lock_guard<std::mutex> guard(mutex_);
-            held_blocks_[slot].clear();
-        }
-        slots_.release(slot);
-    }
-
-    std::uint64_t occupied_metadata_entries() const noexcept override {
-        const std::lock_guard<std::mutex> guard(mutex_);
-        return table_.occupied_entries();
-    }
-
-private:
-    [[nodiscard]] std::uint64_t block_of(const std::uint64_t* addr) const noexcept {
-        return reinterpret_cast<std::uintptr_t>(addr) >> block_shift_;
-    }
-
-    /// Pre: mutex_ held. Acquires write ownership of one redo entry's
-    /// block; false means a conflict (caller releases everything and the
-    /// commit retries). The test-only ignore fault reports success without
-    /// recording ownership — the write-back then races, which is the point.
-    [[nodiscard]] bool acquire_commit_block_locked(LazyTableContext<Table>& cx,
-                                                   std::uint64_t block) {
-        const AcquireResult r = table_.acquire_write(cx.slot_, block);
-        if (!r.ok) {
-            if (test_faults().ignore_acquire_conflicts.load(
-                    std::memory_order_relaxed)) {
-                return true;
-            }
-            classify_conflict(block, r.conflicting);
-            return false;
-        }
-        held_blocks_[cx.slot_].insert(block);
-        cx.held_.put(block, Mode::kWrite);
-        return true;
-    }
-
-    /// Pre: mutex_ held.
-    void classify_conflict(std::uint64_t block, std::uint64_t conflicting) {
-        bool same_block = false;
-        while (conflicting != 0) {
-            const auto slot = static_cast<std::uint32_t>(std::countr_zero(conflicting));
-            conflicting &= conflicting - 1;
-            if (held_blocks_[slot].contains(block)) {
-                same_block = true;
-                break;
-            }
-        }
-        auto& counter = same_block ? stats_.true_conflicts : stats_.false_conflicts;
-        counter.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /// Pre: mutex_ held.
-    void release_all_locked(LazyTableContext<Table>& cx) {
-        cx.held_.for_each([&](std::uint64_t block, Mode mode) {
-            table_.release(cx.slot_, block, mode);
-        });
-        held_blocks_[cx.slot_].clear();
-        cx.held_.clear();
         cx.redo_.clear();
     }
 
     SharedStats& stats_;
     unsigned block_shift_;
-    mutable std::mutex mutex_;
-    Table table_;
-    std::array<BlockSet, ownership::kMaxTx> held_blocks_;
+    Ownership ownership_;
     SlotPool slots_;
 };
 
-template <typename Table>
-LazyTableContext<Table>::~LazyTableContext() {
-    backend_.release_slot(slot_);
+template <typename Ownership>
+std::unique_ptr<Backend> make_engine(const StmConfig& config,
+                                     SharedStats& stats) {
+    if (config.commit_time_locks) {
+        return std::make_unique<TableBackend<Ownership, true>>(config, stats);
+    }
+    return std::make_unique<TableBackend<Ownership, false>>(config, stats);
 }
 
 }  // namespace
@@ -424,19 +343,10 @@ LazyTableContext<Table>::~LazyTableContext() {
 std::unique_ptr<Backend> make_table_backend(const StmConfig& config,
                                             SharedStats& stats,
                                             ReclaimDomain& /*reclaim*/) {
-    const bool tagless = config.backend == BackendKind::kTaglessTable;
-    if (config.commit_time_locks) {
-        if (tagless) {
-            return std::make_unique<LazyTableBackend<ownership::TaglessTable>>(config,
-                                                                               stats);
-        }
-        return std::make_unique<LazyTableBackend<ownership::TaggedTable>>(config,
-                                                                          stats);
+    if (config.backend == BackendKind::kTaglessTable) {
+        return make_engine<TaglessOwnership>(config, stats);
     }
-    if (tagless) {
-        return std::make_unique<TableBackend<ownership::TaglessTable>>(config, stats);
-    }
-    return std::make_unique<TableBackend<ownership::TaggedTable>>(config, stats);
+    return make_engine<TaggedOwnership>(config, stats);
 }
 
 }  // namespace tmb::stm::detail

@@ -169,7 +169,10 @@ TEST(StmFactory, BackendNamesExposeTheEngines) {
     const auto names = stm::backend_names();
     EXPECT_TRUE(std::find(names.begin(), names.end(), "tl2") != names.end());
     EXPECT_TRUE(std::find(names.begin(), names.end(), "table") != names.end());
-    EXPECT_TRUE(std::find(names.begin(), names.end(), "atomic") != names.end());
+    EXPECT_TRUE(std::find(names.begin(), names.end(), "adaptive") !=
+                names.end());
+    EXPECT_TRUE(std::find(names.begin(), names.end(), "atomic") == names.end())
+        << "table=tagless is the lock-free engine; no separate key";
 }
 
 TEST(StmFactory, CreateSelectsBackendByName) {
@@ -180,9 +183,7 @@ TEST(StmFactory, CreateSelectsBackendByName) {
         {"backend=tl2", stm::BackendKind::kTl2},
         {"backend=tagged", stm::BackendKind::kTaggedTable},
         {"backend=tagless", stm::BackendKind::kTaglessTable},
-        {"backend=atomic", stm::BackendKind::kTaglessAtomic},
         {"backend=table table=tagged", stm::BackendKind::kTaggedTable},
-        {"backend=table table=atomic_tagless", stm::BackendKind::kTaglessAtomic},
         {"table=tagless", stm::BackendKind::kTaglessTable},  // backend implied
         {"", stm::BackendKind::kTaggedTable},                // default
     };
@@ -209,6 +210,23 @@ TEST(StmFactory, UnknownBackendThrows) {
     EXPECT_THROW(
         (void)stm::Stm::create(config::Config::from_string("backend=bogus")),
         std::invalid_argument);
+}
+
+TEST(StmFactory, RejectsTheRetiredAtomicSpellings) {
+    // table=tagless already runs on the lock-free table; none of the old
+    // names for a separate atomic engine may select anything.
+    for (const char* spec :
+         {"backend=atomic", "backend=tagless-atomic", "backend=atomic_tagless",
+          "backend=table table=atomic_tagless", "table=atomic_tagless",
+          "backend=adaptive engine=atomic"}) {
+        try {
+            (void)stm::stm_config_from(config::Config::from_string(spec));
+            ADD_FAILURE() << "accepted " << spec;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("tagless"), std::string::npos)
+                << spec << ": " << e.what();
+        }
+    }
 }
 
 TEST(StmFactory, CreatedRuntimeRunsTransactions) {

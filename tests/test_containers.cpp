@@ -32,13 +32,11 @@ class ContainersAllBackends : public ::testing::TestWithParam<BackendKind> {};
 
 INSTANTIATE_TEST_SUITE_P(Backends, ContainersAllBackends,
                          ::testing::Values(BackendKind::kTaglessTable,
-                                           BackendKind::kTaglessAtomic,
                                            BackendKind::kTaggedTable,
                                            BackendKind::kTl2),
                          [](const auto& param_info) {
                              switch (param_info.param) {
                                  case BackendKind::kTaglessTable: return "Tagless";
-                                 case BackendKind::kTaglessAtomic: return "TaglessAtomic";
                                  case BackendKind::kTaggedTable: return "Tagged";
                                  case BackendKind::kTl2: return "Tl2";
                              }

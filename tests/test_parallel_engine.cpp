@@ -1,7 +1,7 @@
 // Tests for the exec layer (ParallelRunner + workloads + stm::Executor) and
-// for the tx-id cap fixes the real-thread engine forced: the atomic table's
-// 62-transaction capacity is enforced everywhere instead of silently
-// corrupting entry words.
+// for the tx-id cap fixes the real-thread engine forced: the lock-free
+// tagless table's 62-transaction capacity is enforced everywhere instead of
+// silently corrupting entry words.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -72,25 +72,37 @@ TEST(TxIdCap, ClosedSystemValidatesAgainstSelectedTable) {
 }
 
 TEST(TxIdCap, EngineRejectsThreadCountsOverBackendCapacity) {
-    try {
-        exec::ParallelRunner runner(
-            cfg("backend=atomic threads=63 ops=1 entries=1024"));
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find("62"), std::string::npos)
-            << e.what();
+    // One capacity for the whole table family, tagged included.
+    for (const char* table : {"tagless", "tagged"}) {
+        try {
+            exec::ParallelRunner runner(
+                cfg(std::string("backend=table table=") + table +
+                    " threads=63 ops=1 entries=1024"));
+            ADD_FAILURE() << table << ": expected std::invalid_argument";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("62"), std::string::npos)
+                << table << ": " << e.what();
+        }
     }
+}
+
+TEST(TxIdCap, AdaptiveOnTaggedQuotesTheFamilyCapacity) {
+    // The wrapper quotes its first engine's capacity for its whole life and
+    // may swap tagged for tagless, so tagged must already quote 62.
+    const auto stm = stm::Stm::create(
+        cfg("backend=adaptive engine=table table=tagged entries=1024"));
+    EXPECT_EQ(stm->max_live_executors(), ownership::kMaxAtomicTx);
 }
 
 // ---------------------------------------------------------------------------
 // Real-concurrency stress
 // ---------------------------------------------------------------------------
 
-TEST(ParallelEngine, AtomicBackendSurvivesContentionWithNoLostReleases) {
+TEST(ParallelEngine, TaglessBackendSurvivesContentionWithNoLostReleases) {
     // 8 threads hammer a deliberately small table (aliasing + contention);
     // run() verifies the counter invariant (no lost/doubled increments).
     exec::ParallelRunner runner(cfg(
-        "backend=atomic workload=counters threads=8 ops=4000 "
+        "backend=table workload=counters threads=8 ops=4000 "
         "slots=256 tx_size=4 entries=512 contention=yield seed=41"));
     const auto result = runner.run();
     EXPECT_EQ(result.ops, 8u * 4000u);
@@ -103,7 +115,7 @@ TEST(ParallelEngine, AtomicBackendSurvivesContentionWithNoLostReleases) {
 
 TEST(ParallelEngine, CountersSumAcrossShards) {
     exec::ParallelRunner runner(cfg(
-        "backend=atomic workload=counters threads=4 ops=2000 "
+        "backend=table workload=counters threads=4 ops=2000 "
         "slots=128 tx_size=2 entries=256 contention=yield seed=43"));
     const auto result = runner.run();
     ASSERT_EQ(result.per_thread.size(), 4u);
@@ -123,7 +135,7 @@ TEST(ParallelEngine, TableQuiescentAfterRun) {
     // Drive the lock-free table through the STM, then check the table
     // directly: a lost release would leave a stuck entry that blocks this
     // fresh writer forever (we just check occupancy through a fresh tx).
-    auto stm = stm::Stm::create(cfg("backend=atomic entries=128 contention=yield"));
+    auto stm = stm::Stm::create(cfg("backend=table entries=128 contention=yield"));
     auto workload =
         exec::make_workload(cfg("workload=bank accounts=32"));
     exec::ParallelRunner runner({.threads = 6, .ops_per_thread = 3000,
@@ -137,7 +149,7 @@ TEST(ParallelEngine, TableQuiescentAfterRun) {
 }
 
 TEST(ParallelEngine, AllBackendsRunAllWorkloads) {
-    for (const char* backend : {"tl2", "table", "atomic"}) {
+    for (const char* backend : {"tl2", "table", "tagged"}) {
         for (const std::string& workload : exec::workload_names()) {
             config::Config c = cfg(
                 "threads=4 ops=500 slots=256 accounts=64 entries=1024 "
@@ -208,7 +220,7 @@ TEST(ParallelEngine, WorkerThrowKeepsThePerThreadStats) {
 
 TEST(ParallelEngine, OneThreadIsDeterministic) {
     const char* spec =
-        "backend=atomic workload=zipf threads=1 ops=3000 slots=512 "
+        "backend=table workload=zipf threads=1 ops=3000 slots=512 "
         "tx_size=3 entries=1024 seed=101";
     exec::ParallelRunner a(cfg(spec));
     exec::ParallelRunner b(cfg(spec));
@@ -223,7 +235,7 @@ TEST(ParallelEngine, OneThreadMatchesManualSingleThreadedDrive) {
     // The engine with 1 thread must reproduce the plain single-threaded
     // path bit-for-bit: same workload, same seed, one executor, no jump.
     const char* spec =
-        "backend=atomic workload=counters threads=1 ops=2500 slots=512 "
+        "backend=table workload=counters threads=1 ops=2500 slots=512 "
         "tx_size=4 entries=1024 seed=103";
     exec::ParallelRunner engine(cfg(spec));
     const auto engine_result = engine.run();
@@ -244,10 +256,10 @@ TEST(ParallelEngine, ThreadsUseNonOverlappingSubstreams) {
     // sequence: with disjoint substreams the 2-thread hash differs from a
     // 1-thread run of twice the ops with probability ~1.
     const auto one = exec::ParallelRunner(
-        cfg("backend=atomic workload=counters threads=1 ops=2000 "
+        cfg("backend=table workload=counters threads=1 ops=2000 "
             "slots=64k seed=7")).run();
     const auto two = exec::ParallelRunner(
-        cfg("backend=atomic workload=counters threads=2 ops=1000 "
+        cfg("backend=table workload=counters threads=2 ops=1000 "
             "slots=64k seed=7")).run();
     EXPECT_EQ(one.stats.commits, two.stats.commits);
     EXPECT_NE(one.state_hash, two.state_hash);
@@ -310,7 +322,7 @@ TEST(Workloads, RegistryListsBuiltins) {
 // ---------------------------------------------------------------------------
 
 TEST(StampWorkloads, VacationHoldsItsInvariantOnAllBackends) {
-    for (const char* backend : {"table", "atomic", "tl2", "adaptive"}) {
+    for (const char* backend : {"table", "tagged", "tl2", "adaptive"}) {
         exec::ParallelRunner runner(cfg(
             std::string("workload=vacation backend=") + backend +
             " entries=16384 threads=4 ops=400 rows=32 customers=16 seed=5"));
@@ -324,7 +336,7 @@ TEST(StampWorkloads, VacationHoldsItsInvariantOnAllBackends) {
 }
 
 TEST(StampWorkloads, KmeansHoldsItsInvariantOnAllBackends) {
-    for (const char* backend : {"table", "atomic", "tl2", "adaptive"}) {
+    for (const char* backend : {"table", "tagged", "tl2", "adaptive"}) {
         exec::ParallelRunner runner(
             cfg(std::string("workload=kmeans backend=") + backend +
                 " entries=16384 threads=4 ops=400 clusters=4"
@@ -367,7 +379,7 @@ TEST(StampWorkloads, RejectBadShapes) {
 
 TEST(ReplayWorkload, OneThreadIsBitForBitDeterministic) {
     const char* spec =
-        "backend=atomic workload=replay source=jbb threads=1 ops=500 "
+        "backend=table workload=replay source=jbb threads=1 ops=500 "
         "tx_size=8 accesses=3000 slots=4096 entries=4096 seed=31";
     exec::ParallelRunner a(cfg(spec));
     exec::ParallelRunner b(cfg(spec));
@@ -382,7 +394,7 @@ TEST(ReplayWorkload, WrapsShortStreamsInsteadOfStarving) {
     // 200 accesses per stream, but 500 ops x 8 accesses demand 4000: the
     // cursor must wrap and the run still commit every transaction.
     exec::ParallelRunner runner(cfg(
-        "backend=atomic workload=replay source=jbb threads=2 ops=500 "
+        "backend=table workload=replay source=jbb threads=2 ops=500 "
         "tx_size=8 accesses=200 slots=1024 entries=2048 contention=yield "
         "seed=33"));
     const auto r = runner.run();
@@ -390,7 +402,7 @@ TEST(ReplayWorkload, WrapsShortStreamsInsteadOfStarving) {
 }
 
 TEST(ReplayWorkload, AllBackendsReplayUnderContention) {
-    for (const char* backend : {"tl2", "table", "atomic"}) {
+    for (const char* backend : {"tl2", "table", "tagged"}) {
         config::Config c = cfg(
             "workload=replay source=zipf threads=4 ops=300 tx_size=8 "
             "accesses=10000 slots=512 entries=1024 contention=yield seed=37");

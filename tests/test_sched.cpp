@@ -203,11 +203,11 @@ TEST(SchedOracle, CatchesTableBackendThatIgnoresConflicts) {
     }
 }
 
-TEST(SchedOracle, CatchesAtomicBackendThatIgnoresConflicts) {
+TEST(SchedOracle, CatchesTaggedBackendThatIgnoresConflicts) {
     const FaultGuard fault(
         stm::detail::test_faults().ignore_acquire_conflicts);
     HarnessConfig cfg = contended_config();
-    cfg.backend = "atomic";
+    cfg.table = "tagged";
     const auto result = explore(cfg, sched_spec("sched=random"), 60, 13);
     EXPECT_FALSE(result.violations.empty());
 }

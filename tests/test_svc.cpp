@@ -183,7 +183,7 @@ TEST(SvcSched, EveryBackendIsConsistentUnderRandomSchedules) {
     const Pair pairs[] = {
         {"tl2", "", false},          {"table", "tagless", false},
         {"table", "tagless", true},  {"table", "tagged", false},
-        {"atomic", "", false},       {"adaptive", "tagless", false},
+        {"table", "tagged", true},   {"adaptive", "tagless", false},
     };
     for (const Pair& p : pairs) {
         SvcHarnessConfig cfg;

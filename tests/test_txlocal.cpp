@@ -257,7 +257,6 @@ TEST(ZeroAllocation, SteadyStateTransactionsAcrossAllBackends) {
         "backend=table table=tagged contention=none",
         "backend=table table=tagless commit_time_locks=1 contention=none",
         "backend=table table=tagged commit_time_locks=1 contention=none",
-        "backend=atomic contention=none",
     };
     for (const char* spec : specs) {
         EXPECT_EQ(measure_steady_state_allocs(spec), 0u)
@@ -305,7 +304,7 @@ TEST(ZeroAllocation, TxAllocChurnAllocatesOnlyTheUserBlocksCacheOff) {
     const char* specs[] = {
         "backend=tl2 cache_blocks=0 contention=none",
         "backend=table table=tagless cache_blocks=0 contention=none",
-        "backend=atomic cache_blocks=0 contention=none",
+        "backend=table table=tagged cache_blocks=0 contention=none",
     };
     for (const char* spec : specs) {
         // Two attempts per operation (one retry), one tx_alloc each: the
@@ -323,7 +322,7 @@ TEST(ZeroAllocation, TxAllocChurnIsAllocationFreeWithTheCacheOn) {
     const char* specs[] = {
         "backend=tl2 contention=none",
         "backend=table table=tagless contention=none",
-        "backend=atomic contention=none",
+        "backend=table table=tagged contention=none",
     };
     for (const char* spec : specs) {
         EXPECT_EQ(measure_steady_state_churn_allocs(spec, 256), 0u)
