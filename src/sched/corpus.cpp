@@ -139,37 +139,27 @@ std::size_t Corpus::sync() {
 // The guided fuzz loop
 // ---------------------------------------------------------------------------
 
-FuzzResult fuzz_explore(const HarnessConfig& cfg, const FuzzOptions& opts,
+FuzzResult fuzz_explore(const Subject& subject, const FuzzOptions& opts,
                         Corpus& corpus) {
-    HarnessConfig run_cfg = cfg;
-    if (opts.step_limit != 0) {
-        run_cfg.step_limit = std::min(cfg.step_limit, opts.step_limit);
-    }
-    const auto programs = generate_programs(run_cfg);
+    const std::uint64_t step_limit =
+        opts.step_limit != 0 ? std::min(subject.step_limit(), opts.step_limit)
+                             : subject.step_limit();
     FuzzResult out;
     util::Xoshiro256 rng(opts.seed);
 
-    const auto replay = [&](const std::string& picks) {
-        config::Config sc;
-        sc.set("sched", "replay");
-        sc.set("schedule", picks);
-        const auto sch = make_schedule(sc, 0);
-        return run_schedule(run_cfg, programs, *sch);
+    // Every fuzz run is cut at the step cap and judged like a kill point:
+    // a completed run faces the full oracle, a cancelled one (e.g. a
+    // livelocking mutant) the prefix oracle — whatever committed before the
+    // cap must form a consistent history. A violation on a cancelled run
+    // reproduces with --kill_step at the step it was cut.
+    const auto fresh = [&](Schedule& sch) {
+        return subject.run(sch, step_limit, /*complete=*/false, nullptr);
     };
-
-    // Completed runs face the full serializability oracle. Cancelled runs
-    // (step cap hit — e.g. a livelocking mutant) face the prefix oracle:
-    // whatever committed before the cap must form a consistent history.
-    const auto oracle = [&](const RunResult& run) {
-        const auto error =
-            run.cancelled ? check_prefix_consistent(run_cfg, programs, run)
-                          : check_serializable(run_cfg, programs, run);
-        if (error) {
-            Violation v;
-            v.schedule = run.schedule;
-            v.repro = repro_line(cfg, run.schedule);
-            v.message = *error + "\n  repro: " + v.repro;
-            out.violations.push_back(std::move(v));
+    const auto oracle = [&](const Outcome& o) {
+        if (o.error) {
+            out.violations.push_back(
+                make_violation(subject, o.run.schedule, *o.error,
+                               o.run.cancelled ? o.run.steps : 0));
         }
     };
 
@@ -178,19 +168,19 @@ FuzzResult fuzz_explore(const HarnessConfig& cfg, const FuzzOptions& opts,
     // still reproduces the signature. Shrink probes are full oracle-checked
     // runs and count against the budget; signatures they stumble into are
     // observed (they count as reached) but not retained.
-    const auto retain = [&](const RunResult& run) {
+    const auto retain = [&](const RunTrace& run) {
         std::string kept = run.schedule;
         if (opts.shrink && kept.size() > 1 && out.runs < opts.budget) {
             const std::uint64_t cap =
                 std::min(opts.shrink_probes, opts.budget - out.runs);
             const auto same_signature = [&](const std::string& cand) {
-                const RunResult probe = replay(cand);
+                const Outcome probe = fresh(*replay_schedule(cand));
                 ++out.runs;
-                out.stats.merge(probe.stats);
-                out.sites_seen |= probe.sites_seen;
+                out.stats.merge(probe.run.stats);
+                out.sites_seen |= probe.run.sites_seen;
                 oracle(probe);
-                (void)corpus.observe(probe.signature);
-                return probe.signature == run.signature;
+                (void)corpus.observe(probe.run.signature);
+                return probe.run.signature == run.signature;
             };
             kept = shrink_schedule(std::move(kept), same_signature, cap);
         }
@@ -204,13 +194,13 @@ FuzzResult fuzz_explore(const HarnessConfig& cfg, const FuzzOptions& opts,
     for (std::uint64_t i = 0; i < opts.init && out.runs < opts.budget; ++i) {
         const auto sch =
             make_schedule(random_cfg, util::mix64(opts.seed ^ (i + 1)));
-        const RunResult run = run_schedule(run_cfg, programs, *sch);
+        const Outcome o = fresh(*sch);
         ++out.runs;
-        out.stats.merge(run.stats);
-        out.sites_seen |= run.sites_seen;
-        oracle(run);
+        out.stats.merge(o.run.stats);
+        out.sites_seen |= o.run.sites_seen;
+        oracle(o);
         if (opts.stop_at_first && !out.violations.empty()) return out;
-        if (corpus.observe(run.signature)) retain(run);
+        if (corpus.observe(o.run.signature)) retain(o.run);
     }
 
     constexpr std::size_t kNoBase = static_cast<std::size_t>(-1);
@@ -224,24 +214,25 @@ FuzzResult fuzz_explore(const HarnessConfig& cfg, const FuzzOptions& opts,
         // gradient toward a behavior; the mix keeps feeding the corpus
         // interleavings from the whole space, AFL-havoc style.
         std::size_t base_idx = kNoBase;
-        RunResult run;
+        Outcome o;
         if (corpus.empty() || rng.below(8) == 0) {
             const auto sch = make_schedule(random_cfg, rng());
-            run = run_schedule(run_cfg, programs, *sch);
+            o = fresh(*sch);
         } else {
             base_idx = corpus.select(rng);
             ++corpus.entry(base_idx).trials;
             const std::string mutant =
                 mutate_schedule(corpus.entry(base_idx).schedule,
                                 corpus.entry(corpus.select(rng)).schedule,
-                                cfg.threads, rng);
-            run = replay(mutant);
+                                subject.threads(), rng);
+            o = fresh(*replay_schedule(mutant));
         }
+        const RunTrace& run = o.run;
         ++out.runs;
         ++since_sync;
         out.stats.merge(run.stats);
         out.sites_seen |= run.sites_seen;
-        oracle(run);
+        oracle(o);
         if (opts.stop_at_first && !out.violations.empty()) return out;
         if (corpus.observe(run.signature)) {
             ++out.new_coverage_mutants;
@@ -260,15 +251,11 @@ FuzzResult fuzz_explore(const HarnessConfig& cfg, const FuzzOptions& opts,
             const std::uint64_t kill = 1 + rng.below(run.steps);
             ++out.runs;
             ++out.kill_checks;
-            if (const auto error =
-                    check_kill_point(run_cfg, programs, run.schedule, kill)) {
-                Violation v;
-                v.schedule = run.schedule;
-                v.repro = repro_line(cfg, run.schedule) +
-                          " --kill_step=" + std::to_string(kill);
-                v.message = "kill-point (step " + std::to_string(kill) +
-                            "): " + *error + "\n  repro: " + v.repro;
-                out.violations.push_back(std::move(v));
+            if (const auto error = replay(subject, run.schedule, kill).error) {
+                out.violations.push_back(make_violation(
+                    subject, run.schedule,
+                    "kill-point (step " + std::to_string(kill) + "): " + *error,
+                    kill));
             }
         }
 

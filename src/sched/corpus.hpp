@@ -6,9 +6,10 @@
 // fuzz loop (fuzz_explore) seeds the corpus with a handful of random runs,
 // then repeatedly picks a base entry (yield-weighted), mutates its
 // schedule string (sched/schedule.hpp mutators), replays the mutant under
-// the full serializability oracle, and keeps it iff its signature is new —
-// optionally ddmin-shrinking the kept string to the shortest prefix-free
-// form that still reproduces the signature.
+// the subject's oracle (sched/explore.hpp: the prefix oracle when the run
+// hits the step cap), and keeps it iff its signature is new — optionally
+// ddmin-shrinking the kept string to the shortest prefix-free form that
+// still reproduces the signature. One loop serves every subject.
 //
 // Multi-process sharing: when a corpus directory is set, each entry is
 // published as `sig-<16-hex-signature>.sched` claimed with
@@ -28,7 +29,7 @@
 #include <vector>
 
 #include "sched/coverage.hpp"
-#include "sched/harness.hpp"
+#include "sched/explore.hpp"
 #include "util/rng.hpp"
 
 namespace tmb::sched {
@@ -97,11 +98,11 @@ struct FuzzOptions {
     std::uint64_t shrink_probes = 24;  ///< probe cap per retained entry
     std::uint64_t kill_every = 0;  ///< every N runs, one kill-point check
                                    ///  at a random step (0 = off)
-    /// Step cap per fuzz run (0 = inherit cfg.step_limit). Mutants can land
+    /// Step cap per fuzz run (0 = inherit the subject's). Mutants can land
     /// on livelocking interleavings — two threads perpetually abort-retrying
     /// each other under a periodic tail — which are legal behaviors (the STM
     /// guarantees no such liveness property under adversarial scheduling)
-    /// but would burn cfg's full default budget (2^20 steps) per run. The
+    /// but would burn the full default budget (2^20 steps) per run. The
     /// fuzzer cancels them early and prefix-checks instead.
     std::uint64_t step_limit = std::uint64_t{1} << 14;
     /// Stop as soon as any violation is recorded (FuzzResult::runs then
@@ -121,11 +122,12 @@ struct FuzzResult {
     std::uint32_t sites_seen = 0;
 };
 
-/// Coverage-guided schedule fuzzing over `cfg`'s workload. The caller owns
+/// Coverage-guided schedule fuzzing over `subject`. The caller owns
 /// `corpus` (pre-seeded or empty; pass one constructed with a directory to
-/// share across processes). Every run is oracle-checked; violations carry
-/// repro lines like explore()'s.
-[[nodiscard]] FuzzResult fuzz_explore(const HarnessConfig& cfg,
+/// share across processes). Every run is oracle-checked (a run cut at the
+/// step cap by the prefix oracle); violations carry repro lines like
+/// explore()'s.
+[[nodiscard]] FuzzResult fuzz_explore(const Subject& subject,
                                       const FuzzOptions& opts, Corpus& corpus);
 
 }  // namespace tmb::sched

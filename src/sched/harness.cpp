@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <exception>
-#include <semaphore>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <unordered_set>
 
 #include "sched/coverage.hpp"
-#include "sched/turnstile.hpp"
 #include "stm/sched_hook.hpp"
 #include "stm/txalloc.hpp"
 #include "util/hash.hpp"
@@ -20,9 +16,6 @@
 namespace tmb::sched {
 
 namespace {
-
-using stm::detail::YieldPoint;
-using stm::detail::YieldSite;
 
 /// The shared words all runs execute over: one 64-byte block per slot in a
 /// process-static 64-byte-aligned arena. A static arena means every run in
@@ -162,16 +155,7 @@ void validate(const HarnessConfig& cfg, const stm::Stm& tm) {
 
 HarnessConfig harness_config_from(const config::Config& cfg) {
     HarnessConfig out;
-    out.backend = cfg.get("backend", out.backend);
-    out.table = cfg.get("table", out.table);
-    out.entries = cfg.get_u64("entries", out.entries);
-    out.commit_time_locks =
-        cfg.get_bool("commit_time_locks", out.commit_time_locks);
-    out.clock = cfg.get("clock", out.clock);
-    out.engine = cfg.get("engine", out.engine);
-    out.policy = cfg.get("policy", out.policy);
-    out.epoch = cfg.get_u64("epoch", out.epoch);
-    out.max_entries = cfg.get_u64("max_entries", out.max_entries);
+    read_stm_spec(cfg, out);
     out.threads = cfg.get_u32("threads", out.threads);
     out.txs_per_thread = cfg.get_u32("txs", out.txs_per_thread);
     out.ops_per_tx = cfg.get_u32("ops", out.ops_per_tx);
@@ -204,53 +188,15 @@ HarnessConfig harness_config_from(const config::Config& cfg) {
 }
 
 config::Config stm_spec(const HarnessConfig& cfg) {
-    config::Config out;
-    out.set("backend", cfg.backend);
-    if (cfg.backend == "table" || cfg.backend == "adaptive") {
-        out.set("table", cfg.table);
-    }
-    if (cfg.backend == "adaptive") {
-        if (!cfg.engine.empty()) out.set("engine", cfg.engine);
-        if (!cfg.policy.empty()) out.set("policy", cfg.policy);
-        if (cfg.epoch != 0) out.set("epoch", std::to_string(cfg.epoch));
-        if (cfg.max_entries != 0) {
-            out.set("max_entries", std::to_string(cfg.max_entries));
-        }
-    }
-    out.set("entries", std::to_string(cfg.entries));
-    out.set("block_bytes", "64");
-    // Determinism pins: shift-mask makes ownership-table aliasing a pure
-    // function of slot distances (ASLR-proof), `none` removes sleeps and
-    // jitter from the retry loop.
-    out.set("hash", "shift-mask");
-    out.set("contention", "none");
-    // Shard count is pinned (not hardware concurrency): which shard a
-    // context binds to must not depend on the machine replaying a schedule.
-    out.set("reclaim_shards", "2");
+    config::Config out = stm_config(cfg);
     if (cfg.cache_blocks >= 0) {
         out.set("cache_blocks", std::to_string(cfg.cache_blocks));
     }
-    if (cfg.commit_time_locks) out.set("commit_time_locks", "1");
-    if (!cfg.clock.empty()) out.set("clock", cfg.clock);
     return out;
 }
 
 std::string repro_flags(const HarnessConfig& cfg) {
-    std::string out = "--backend=" + cfg.backend;
-    if (cfg.backend == "table" || cfg.backend == "adaptive") {
-        out += " --table=" + cfg.table;
-    }
-    if (cfg.backend == "adaptive") {
-        if (!cfg.engine.empty()) out += " --engine=" + cfg.engine;
-        if (!cfg.policy.empty()) out += " --policy=" + cfg.policy;
-        if (cfg.epoch != 0) out += " --epoch=" + std::to_string(cfg.epoch);
-        if (cfg.max_entries != 0) {
-            out += " --max_entries=" + std::to_string(cfg.max_entries);
-        }
-    }
-    if (cfg.commit_time_locks) out += " --commit_time_locks=1";
-    if (!cfg.clock.empty()) out += " --clock=" + cfg.clock;
-    out += " --entries=" + std::to_string(cfg.entries);
+    std::string out = stm_repro_flags(cfg);
     out += " --threads=" + std::to_string(cfg.threads);
     out += " --txs=" + std::to_string(cfg.txs_per_thread);
     out += " --ops=" + std::to_string(cfg.ops_per_tx);
@@ -264,10 +210,6 @@ std::string repro_flags(const HarnessConfig& cfg) {
         out += " --cache_blocks=" + std::to_string(cfg.cache_blocks);
     }
     return out;
-}
-
-std::string repro_line(const HarnessConfig& cfg, const std::string& schedule) {
-    return "sched_explorer " + repro_flags(cfg) + " --schedule=" + schedule;
 }
 
 // ---------------------------------------------------------------------------
@@ -358,189 +300,113 @@ RunResult run_schedule(const HarnessConfig& cfg,
     // and each record's read/write logs are bounded by the program length —
     // reserve once instead of growing on the hot turnstile path.
     result.commit_log.reserve(std::size_t{cfg.threads} * cfg.txs_per_thread);
-    result.schedule.reserve(256);
-    Turnstile ts(cfg.threads);
-
-    std::vector<std::thread> workers;
-    workers.reserve(cfg.threads);
-    for (std::uint32_t t = 0; t < cfg.threads; ++t) {
-        workers.emplace_back([&, t] {
-            WorkerHook hook(ts, t);
-            stm::detail::SchedulerHook* previous =
-                stm::detail::install_scheduler_hook(&hook);
-            std::exception_ptr error;
-            try {
-                stm::Executor& exec = *executors[t];
-                for (std::uint32_t k = 0; k < cfg.txs_per_thread; ++k) {
-                    const TxProgram& prog = programs[t][k];
-                    CommitRecord rec;
-                    rec.reads.reserve(prog.ops.size());
-                    rec.writes.reserve(prog.ops.size());
-                    // The body re-executes per attempt; only the successful
-                    // attempt's records survive (cleared on entry).
-                    exec.atomically([&](stm::Transaction& tx) {
-                        rec.reads.clear();
-                        rec.writes.clear();
-                        rec.begin_commits = result.commit_log.size();
-                        // Dyn: nodes this attempt already tx_free'd. Broken
-                        // reclamation can recycle one address into two
-                        // slots; freeing it twice must become a reported
-                        // violation, not a logic_error out of record_free.
-                        std::vector<DynNode*> freed;
-                        std::uint64_t acc = tx_seed(cfg, t, k);
-                        for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-                            const TxOp& op = prog.ops[i];
-                            std::uint64_t v = 0;
-                            DynNode* node = nullptr;
-                            bool node_ok = false;
-                            if (cfg.dynamic) {
-                                node = std::bit_cast<DynNode*>(
-                                    tx.load(slot_addr(op.slot)));
-                                // The lifetime oracle: dereferencing a
-                                // released block is the failure epoch
-                                // reclamation exists to prevent — report it
-                                // and read 0 instead of touching freed
-                                // memory (doomed readers included).
-                                const auto uar = [&] {
-                                    tracker.record(
-                                        "use-after-reclaim: thread " +
-                                        std::to_string(t) +
-                                        " touched the released node of "
-                                        "slot " +
-                                        std::to_string(op.slot));
-                                };
-                                if (node == nullptr) {
-                                    tracker.record(
-                                        "thread " + std::to_string(t) +
-                                        " read a null node from slot " +
-                                        std::to_string(op.slot));
-                                } else if (tracker.released(node)) {
-                                    uar();
-                                } else {
-                                    node_ok = true;
-                                    // The load yields before it reads, so
-                                    // the node can be released while this
-                                    // attempt is parked holding the
-                                    // pointer: re-check after it returns,
-                                    // and on the abort path a doomed
-                                    // reader takes when its snapshot
-                                    // validation fails.
-                                    try {
-                                        v = tx.load(&node->value_word);
-                                    } catch (...) {
-                                        if (tracker.released(node)) uar();
-                                        throw;
-                                    }
-                                    if (tracker.released(node)) uar();
-                                }
-                            } else {
-                                v = tx.load(slot_addr(op.slot));
+    const auto body = [&](std::uint32_t t) {
+        stm::Executor& exec = *executors[t];
+        for (std::uint32_t k = 0; k < cfg.txs_per_thread; ++k) {
+            const TxProgram& prog = programs[t][k];
+            CommitRecord rec;
+            rec.reads.reserve(prog.ops.size());
+            rec.writes.reserve(prog.ops.size());
+            // The body re-executes per attempt; only the successful
+            // attempt's records survive (cleared on entry).
+            exec.atomically([&](stm::Transaction& tx) {
+                rec.reads.clear();
+                rec.writes.clear();
+                rec.begin_commits = result.commit_log.size();
+                // Dyn: nodes this attempt already tx_free'd. Broken
+                // reclamation can recycle one address into two
+                // slots; freeing it twice must become a reported
+                // violation, not a logic_error out of record_free.
+                std::vector<DynNode*> freed;
+                std::uint64_t acc = tx_seed(cfg, t, k);
+                for (std::size_t i = 0; i < prog.ops.size(); ++i) {
+                    const TxOp& op = prog.ops[i];
+                    std::uint64_t v = 0;
+                    DynNode* node = nullptr;
+                    bool node_ok = false;
+                    if (cfg.dynamic) {
+                        node = std::bit_cast<DynNode*>(
+                            tx.load(slot_addr(op.slot)));
+                        // The lifetime oracle: dereferencing a
+                        // released block is the failure epoch
+                        // reclamation exists to prevent — report it
+                        // and read 0 instead of touching freed
+                        // memory (doomed readers included).
+                        const auto uar = [&] {
+                            tracker.record(
+                                "use-after-reclaim: thread " +
+                                std::to_string(t) +
+                                " touched the released node of "
+                                "slot " +
+                                std::to_string(op.slot));
+                        };
+                        if (node == nullptr) {
+                            tracker.record(
+                                "thread " + std::to_string(t) +
+                                " read a null node from slot " +
+                                std::to_string(op.slot));
+                        } else if (tracker.released(node)) {
+                            uar();
+                        } else {
+                            node_ok = true;
+                            // The load yields before it reads, so
+                            // the node can be released while this
+                            // attempt is parked holding the
+                            // pointer: re-check after it returns,
+                            // and on the abort path a doomed
+                            // reader takes when its snapshot
+                            // validation fails.
+                            try {
+                                v = tx.load(&node->value_word);
+                            } catch (...) {
+                                if (tracker.released(node)) uar();
+                                throw;
                             }
-                            rec.reads.push_back({op.slot, v});
-                            acc = util::mix64(acc ^ v);
-                            if (op.is_write) {
-                                const std::uint64_t nv =
-                                    cfg.commutative
-                                        ? v + op_delta(cfg, t, k, i)
-                                        : util::mix64(acc);
-                                if (cfg.dynamic) {
-                                    DynNode* fresh = tx.tx_alloc<DynNode>(nv);
-                                    tx.store(
-                                        slot_addr(op.slot),
-                                        std::bit_cast<std::uint64_t>(fresh));
-                                    if (node_ok &&
-                                        std::find(freed.begin(), freed.end(),
-                                                  node) != freed.end()) {
-                                        tracker.record(
-                                            "one node reached two slots — "
-                                            "second tx_free averted");
-                                    } else if (node_ok) {
-                                        tx.tx_free(node);
-                                        freed.push_back(node);
-                                    }
-                                } else {
-                                    tx.store(slot_addr(op.slot), nv);
-                                }
-                                rec.writes.push_back({op.slot, nv});
-                            }
+                            if (tracker.released(node)) uar();
                         }
-                    });
-                    rec.thread = t;
-                    rec.tx_index = k;
-                    // Commit-log position == commit order: between the
-                    // backend's commit and this push no yield point runs,
-                    // so no other virtual thread can slip in between.
-                    result.commit_log.push_back(std::move(rec));
+                    } else {
+                        v = tx.load(slot_addr(op.slot));
+                    }
+                    rec.reads.push_back({op.slot, v});
+                    acc = util::mix64(acc ^ v);
+                    if (op.is_write) {
+                        const std::uint64_t nv =
+                            cfg.commutative
+                                ? v + op_delta(cfg, t, k, i)
+                                : util::mix64(acc);
+                        if (cfg.dynamic) {
+                            DynNode* fresh = tx.tx_alloc<DynNode>(nv);
+                            tx.store(
+                                slot_addr(op.slot),
+                                std::bit_cast<std::uint64_t>(fresh));
+                            if (node_ok &&
+                                std::find(freed.begin(), freed.end(),
+                                          node) != freed.end()) {
+                                tracker.record(
+                                    "one node reached two slots — "
+                                    "second tx_free averted");
+                            } else if (node_ok) {
+                                tx.tx_free(node);
+                                freed.push_back(node);
+                            }
+                        } else {
+                            tx.store(slot_addr(op.slot), nv);
+                        }
+                        rec.writes.push_back({op.slot, nv});
+                    }
                 }
-            } catch (const HarnessCancelled&) {
-                // Step budget exhausted: unwind quietly.
-            } catch (...) {
-                error = std::current_exception();
-            }
-            stm::detail::install_scheduler_hook(previous);
-            ts.worker_finish(t, std::move(error));
-        });
-    }
-
-    // Workers race freely only up to their first yield point (which every
-    // one reaches before touching shared state); from here on the turnstile
-    // admits exactly one at a time.
-    ts.await_parked(cfg.threads);
-
-    std::uint64_t runnable = 0;
-    for (std::uint32_t t = 0; t < cfg.threads; ++t) {
-        if (!ts.finished(t)) runnable |= std::uint64_t{1} << t;
-    }
-
-    CoverageAccumulator coverage;
-    while (runnable != 0) {
-        const std::uint32_t pick = schedule.pick(runnable, result.steps);
-        if (pick >= 64 || ((runnable >> pick) & 1) == 0) {
-            ts.cancel();
-            for (std::uint64_t m = runnable; m != 0; m &= m - 1) {
-                ts.grant(static_cast<std::uint32_t>(std::countr_zero(m)));
-            }
-            for (auto& w : workers) w.join();
-            throw std::logic_error(
-                "sched harness: schedule picked a non-runnable thread " +
-                std::to_string(pick));
+            });
+            rec.thread = t;
+            rec.tx_index = k;
+            // Commit-log position == commit order: between the
+            // backend's commit and this push no yield point runs,
+            // so no other virtual thread can slip in between.
+            result.commit_log.push_back(std::move(rec));
         }
-        result.schedule.push_back(thread_to_char(pick));
-        const std::size_t commits_before = result.commit_log.size();
-        ts.grant(pick);
-        ++result.steps;
-
-        if (ts.finished(pick)) {
-            runnable &= ~(std::uint64_t{1} << pick);
-            schedule.observe(pick, Event::kThreadDone);
-            coverage.finish(pick);
-        } else {
-            coverage.step(pick, ts.last_point(pick), ts.last_site(pick));
-            result.sites_seen |=
-                std::uint32_t{1} << static_cast<std::uint32_t>(
-                    ts.last_site(pick));
-            if (ts.last_point(pick) == YieldPoint::kRetry) {
-                schedule.observe(pick, Event::kAbort);
-            }
-        }
-        if (result.commit_log.size() > commits_before) {
-            schedule.observe(pick, Event::kCommit);
-        }
-
-        if (result.steps >= cfg.step_limit && runnable != 0) {
-            result.cancelled = true;
-            ts.cancel();
-            for (std::uint64_t m = runnable; m != 0; m &= m - 1) {
-                ts.grant(static_cast<std::uint32_t>(std::countr_zero(m)));
-            }
-            break;
-        }
-    }
-
-    for (auto& w : workers) w.join();
-    for (std::uint32_t t = 0; t < cfg.threads; ++t) {
-        if (ts.error(t)) std::rethrow_exception(ts.error(t));
-    }
+    };
+    const CoverageAccumulator coverage = drive(
+        cfg.threads, cfg.step_limit, schedule, body,
+        [&] { return result.commit_log.size(); }, result);
 
     result.final_state.resize(cfg.slots);
     std::uint64_t h = 0x5eedc0de ^ cfg.slots;
@@ -651,9 +517,7 @@ std::optional<std::string> oracle_core(
         return "lifetime oracle: " + *run.lifetime_error;
     }
     if (require_complete && run.cancelled) {
-        return "run cancelled after " + std::to_string(run.steps) +
-               " steps (step_limit " + std::to_string(cfg.step_limit) +
-               " exhausted — livelocked schedule or config mismatch)";
+        return step_limit_error(run.steps, cfg.step_limit);
     }
     const std::uint64_t expected =
         std::uint64_t{cfg.threads} * cfg.txs_per_thread;
@@ -792,77 +656,9 @@ std::optional<std::string> check_prefix_consistent(
     return oracle_core(cfg, programs, run, /*require_complete=*/false);
 }
 
-std::optional<std::string> check_kill_point(
-    const HarnessConfig& cfg,
-    const std::vector<std::vector<TxProgram>>& programs,
-    const std::string& schedule, std::uint64_t kill_step) {
-    HarnessConfig killed = cfg;
-    killed.step_limit = kill_step;
-    config::Config sc;
-    sc.set("sched", "replay");
-    sc.set("schedule", schedule);
-    const auto sch = make_schedule(sc, 0);
-    const RunResult run = run_schedule(killed, programs, *sch);
-    // A run that finishes before the kill point fires must pass the full
-    // oracle; a killed run must leave a prefix-consistent history.
-    if (!run.cancelled) return check_serializable(killed, programs, run);
-    return check_prefix_consistent(killed, programs, run);
-}
-
 // ---------------------------------------------------------------------------
-// Exploration / differential / minimization
+// Differential oracle / the programs subject
 // ---------------------------------------------------------------------------
-
-namespace {
-
-[[nodiscard]] Violation make_violation(const HarnessConfig& cfg,
-                                       const RunResult& run,
-                                       const std::string& error) {
-    Violation v;
-    v.schedule = run.schedule;
-    v.repro = repro_line(cfg, run.schedule);
-    v.message = error + "\n  repro: " + v.repro;
-    return v;
-}
-
-[[nodiscard]] std::uint64_t run_seed(std::uint64_t base, std::uint64_t n) {
-    return util::mix64(base + n * 0x9e3779b97f4a7c15ULL + 1);
-}
-
-}  // namespace
-
-ExploreResult explore(const HarnessConfig& cfg, const config::Config& sched_cfg,
-                      std::uint64_t count, std::uint64_t base_seed) {
-    const auto programs = generate_programs(cfg);
-    ExploreResult out;
-    for (std::uint64_t n = 0; n < count; ++n) {
-        const auto schedule = make_schedule(sched_cfg, run_seed(base_seed, n));
-        const RunResult run = run_schedule(cfg, programs, *schedule);
-        ++out.runs;
-        out.stats.merge(run.stats);
-        if (const auto error = check_serializable(cfg, programs, run)) {
-            out.violations.push_back(make_violation(cfg, run, *error));
-        }
-    }
-    return out;
-}
-
-std::string BackendPair::label() const {
-    std::string out = backend;
-    if (!table.empty()) out += "/" + table;
-    if (commit_time_locks) out += "/lazy";
-    return out;
-}
-
-std::vector<BackendPair> default_backend_pairs() {
-    return {
-        {"tl2", "", false},
-        {"table", "tagless", false},
-        {"table", "tagged", false},
-        {"table", "tagless", true},
-        {"table", "tagged", true},
-    };
-}
 
 std::optional<std::string> run_differential(
     const HarnessConfig& cfg,
@@ -881,9 +677,7 @@ std::optional<std::string> run_differential(
 
     const auto pair_cfg = [&](const BackendPair& pair) {
         HarnessConfig pc = cfg;
-        pc.backend = pair.backend;
-        if (!pair.table.empty()) pc.table = pair.table;
-        pc.commit_time_locks = pair.commit_time_locks;
+        pair.apply(pc);
         return pc;
     };
 
@@ -894,9 +688,9 @@ std::optional<std::string> run_differential(
         const auto schedule = make_schedule(sched_cfg, seed);
         RunResult run = run_schedule(pc, programs, *schedule);
         if (const auto error = check_serializable(pc, programs, run)) {
-            const auto v = make_violation(pc, run, *error);
             if (runs_out) *runs_out = std::move(runs);
-            return pair.label() + ": " + v.message;
+            return pair.label() + ": " + *error + "\n  repro: " +
+                   repro_line(repro_flags(pc), run.schedule);
         }
         runs.push_back(std::move(run));
     }
@@ -909,7 +703,8 @@ std::optional<std::string> run_differential(
                       " on the identical workload and schedule seed " +
                       std::to_string(seed) + "\n  repro (" +
                       pairs[i].label() + "): " +
-                      repro_line(pair_cfg(pairs[i]), runs[i].schedule);
+                      repro_line(repro_flags(pair_cfg(pairs[i])),
+                                 runs[i].schedule);
         }
     }
 
@@ -954,19 +749,20 @@ std::optional<std::string> run_differential(
     return verdict;
 }
 
-std::string minimize_schedule(
-    const HarnessConfig& cfg,
-    const std::vector<std::vector<TxProgram>>& programs,
-    std::string schedule) {
-    const auto fails = [&](const std::string& picks) {
-        config::Config sc;
-        sc.set("sched", "replay");
-        sc.set("schedule", picks);
-        const auto sch = make_schedule(sc, 0);
-        const RunResult run = run_schedule(cfg, programs, *sch);
-        return check_serializable(cfg, programs, run).has_value();
-    };
-    return shrink_schedule(std::move(schedule), fails);
+Outcome ProgramSubject::run(Schedule& schedule, std::uint64_t step_limit,
+                            bool complete, std::string* detail) const {
+    HarnessConfig cfg = cfg_;
+    cfg.step_limit = step_limit;
+    RunResult run = run_schedule(cfg, programs_, schedule);
+    if (detail) {
+        *detail = std::to_string(run.commit_log.size()) + " commits, " +
+                  std::to_string(run.stats.policy_switches) +
+                  " policy switches, " +
+                  std::to_string(run.stats.clock_cas_failures) +
+                  " clock CAS failures";
+    }
+    auto error = oracle_core(cfg, programs_, run, complete || !run.cancelled);
+    return {std::move(run), std::move(error)};
 }
 
 }  // namespace tmb::sched

@@ -40,6 +40,10 @@
 // RunResult::lifetime_error instead of being undefined behavior, and
 // check_serializable reports it before anything else.
 //
+// ProgramSubject makes these programs one subject of the exploration core
+// (explore.hpp), which holds the STM spec, the drive loop and the explore,
+// replay, kill-point and minimize modes.
+//
 // Determinism notes: the shared words live in a process-static 64-byte-
 // aligned arena and the harness pins hash=shift-mask, so which slots alias
 // in the ownership table depends only on slot *distances* — recorded
@@ -50,9 +54,11 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/config.hpp"
+#include "sched/explore.hpp"
 #include "sched/schedule.hpp"
 #include "stm/stm.hpp"
 
@@ -65,21 +71,10 @@ namespace tmb::sched {
 /// to exist at all).
 inline constexpr std::uint32_t kMaxSlots = 4096;
 
-/// One exploration subject: workload shape + STM selection. Parsed from the
-/// same `--key=value` vocabulary as every other driver.
-struct HarnessConfig {
-    // --- STM selection (forwarded to stm::Stm::create) ---
-    std::string backend = "table";  ///< tl2 | table | adaptive
-    std::string table = "tagless";  ///< organization, table/adaptive backends
-    std::uint64_t entries = 16;     ///< ownership-table slots (small ⇒ aliasing)
-    bool commit_time_locks = false;
-    std::string clock;              ///< tl2 clock scheme (gv1|gv5; "" = engine default)
-    // --- adaptive backend only (epoch_ms stays 0: determinism) ---
-    std::string engine;             ///< wrapped engine ("" = engine default)
-    std::string policy;             ///< off | auto | cycle ("" = engine default)
-    std::uint64_t epoch = 0;        ///< commits per epoch (0 = engine default)
-    std::uint64_t max_entries = 0;  ///< resize growth cap (0 = engine default)
-    // --- workload shape ---
+/// The generated-programs subject's config: STM selection + workload
+/// shape. Parsed from the same `--key=value` vocabulary as every other
+/// driver.
+struct HarnessConfig : StmSpec {
     std::uint32_t threads = 3;         ///< virtual threads (≤ 36)
     std::uint32_t txs_per_thread = 3;  ///< transactions each runs, in order
     std::uint32_t ops_per_tx = 4;      ///< accesses per transaction
@@ -108,24 +103,21 @@ struct HarnessConfig {
     /// Scheduler steps before the run is cancelled (livelocked replays
     /// under a mismatched config would otherwise never terminate).
     std::uint64_t step_limit = 1u << 20;
+
+    bool operator==(const HarnessConfig&) const = default;
 };
 
-/// Parses harness keys: backend, table, entries, commit_time_locks, clock,
-/// engine, policy, epoch, max_entries, threads, txs, ops, slots, wfrac,
-/// rofrac, mode (acc|incr|dyn), wseed, cache_blocks, step_limit.
+/// Parses the STM keys (read_stm_spec) plus threads, txs, ops, slots,
+/// wfrac, rofrac, mode (acc|incr|dyn), wseed, cache_blocks, step_limit.
 [[nodiscard]] HarnessConfig harness_config_from(const config::Config& cfg);
 
-/// The Config handed to stm::Stm::create for this harness config —
-/// includes the determinism pins (hash=shift-mask, contention=none).
+/// The Config handed to stm::Stm::create for this harness config:
+/// stm_config plus cache_blocks.
 [[nodiscard]] config::Config stm_spec(const HarnessConfig& cfg);
 
 /// `--key=value` flags reproducing `cfg` on the sched_explorer command
 /// line (everything except the schedule string).
 [[nodiscard]] std::string repro_flags(const HarnessConfig& cfg);
-
-/// Full repro command for one explored run.
-[[nodiscard]] std::string repro_line(const HarnessConfig& cfg,
-                                     const std::string& schedule);
 
 /// One transactional access of a generated program.
 struct TxOp {
@@ -169,24 +161,8 @@ struct CommitRecord {
 };
 
 /// Outcome of one scheduled run.
-struct RunResult {
-    std::string schedule;  ///< recorded picks (replayable)
-    std::uint64_t steps = 0;
-    bool cancelled = false;  ///< step_limit exhausted; state is partial
-    std::uint64_t state_hash = 0;
-    std::vector<std::uint64_t> final_state;  ///< slot values at quiescence
-    std::vector<CommitRecord> commit_log;    ///< commit order
-    stm::StmStats stats;
-    /// The run's 64-bit behavior signature (sched/coverage.hpp): AFL-style
-    /// bucketed per-thread yield-event edges + quantized stats. A pure
-    /// function of the replayed execution on a fresh engine, so identical
-    /// runs carry identical signatures.
-    std::uint64_t signature = 0;
-    /// Bitmask of YieldSite values the run parked at (bit s set ⇔ some
-    /// granted step yielded from site s). Coarser than the signature, but
-    /// directly answers "did this campaign ever reach site X" — the
-    /// reachability assertion the decision-point sites exist for.
-    std::uint32_t sites_seen = 0;
+struct RunResult : RunTrace {
+    std::vector<CommitRecord> commit_log;  ///< commit order
     /// Lifetime-oracle verdict (dyn mode only): a use of a reclaimed block,
     /// a double reclamation, or an unbalanced allocation ledger at the end
     /// of the run. nullopt when clean (always nullopt outside dyn mode).
@@ -233,49 +209,6 @@ struct RunResult {
     const HarnessConfig& cfg,
     const std::vector<std::vector<TxProgram>>& programs, const RunResult& run);
 
-/// Kill-point oracle: replays `schedule` with the step budget cut to
-/// `kill_step` (the "crash"), then asserts the post-crash state is a
-/// prefix-consistent commit history. A schedule that finishes before the
-/// kill step is checked with the full serializability oracle instead.
-[[nodiscard]] std::optional<std::string> check_kill_point(
-    const HarnessConfig& cfg,
-    const std::vector<std::vector<TxProgram>>& programs,
-    const std::string& schedule, std::uint64_t kill_step);
-
-/// A failing schedule plus everything needed to reproduce it.
-struct Violation {
-    std::string message;   ///< oracle description + repro line
-    std::string schedule;  ///< recorded pick string
-    std::string repro;     ///< copy-pasteable sched_explorer command
-};
-
-/// Aggregate of an exploration batch.
-struct ExploreResult {
-    std::uint64_t runs = 0;
-    std::vector<Violation> violations;
-    stm::StmStats stats;  ///< merged over all runs
-};
-
-/// Explores `count` schedules built from `sched_cfg` (keys sched=, depth=,
-/// steps=) with per-run seeds derived from `base_seed`, oracle-checking
-/// every run.
-[[nodiscard]] ExploreResult explore(const HarnessConfig& cfg,
-                                    const config::Config& sched_cfg,
-                                    std::uint64_t count,
-                                    std::uint64_t base_seed);
-
-/// One backend×table combination of the differential sweep.
-struct BackendPair {
-    std::string backend;
-    std::string table;  ///< empty when the backend has no table choice
-    bool commit_time_locks = false;
-
-    [[nodiscard]] std::string label() const;
-};
-
-/// Every built-in pair: tl2, table×{tagless,tagged}×{eager,lazy}.
-[[nodiscard]] std::vector<BackendPair> default_backend_pairs();
-
 /// The differential oracle: runs one schedule seed across `pairs` (all
 /// sharing cfg's workload, which must be commutative), asserting
 /// serializability per run, identical final state across runs, and the
@@ -288,11 +221,31 @@ struct BackendPair {
     const std::vector<BackendPair>& pairs, const config::Config& sched_cfg,
     std::uint64_t seed, std::vector<RunResult>* runs_out = nullptr);
 
-/// Greedily shrinks a failing schedule string (ddmin-style chunk removal)
-/// while check_serializable still reports a violation. Returns the input
-/// unchanged when it does not fail.
-[[nodiscard]] std::string minimize_schedule(
-    const HarnessConfig& cfg,
-    const std::vector<std::vector<TxProgram>>& programs, std::string schedule);
+/// The generated transaction programs as an exploration subject: its
+/// oracle is check_serializable, or check_prefix_consistent for a cut run
+/// judged as a kill point.
+class ProgramSubject final : public Subject {
+public:
+    explicit ProgramSubject(HarnessConfig cfg)
+        : cfg_(std::move(cfg)), programs_(generate_programs(cfg_)) {}
+
+    [[nodiscard]] StmSpec& stm() override { return cfg_; }
+    [[nodiscard]] std::uint32_t threads() const override {
+        return cfg_.threads;
+    }
+    [[nodiscard]] std::uint64_t step_limit() const override {
+        return cfg_.step_limit;
+    }
+    [[nodiscard]] std::string repro_flags() const override {
+        return sched::repro_flags(cfg_);
+    }
+    [[nodiscard]] Outcome run(Schedule& schedule, std::uint64_t step_limit,
+                              bool complete,
+                              std::string* detail) const override;
+
+private:
+    HarnessConfig cfg_;
+    std::vector<std::vector<TxProgram>> programs_;
+};
 
 }  // namespace tmb::sched

@@ -1,6 +1,6 @@
-// turnstile.hpp — the cooperative one-thread-at-a-time baton shared by the
-// schedule-exploration harness (sched/harness.cpp) and the deterministic
-// service runner (svc/sched_service.cpp).
+// turnstile.hpp — the cooperative one-thread-at-a-time baton under the
+// exploration core's drive loop (sched/explore.cpp), which every subject
+// runs on.
 //
 // Exactly one party — the scheduler or one worker — holds the baton at any
 // moment. Semaphore handoff gives the happens-before edges that make the

@@ -1,17 +1,12 @@
 #include "svc/sched_service.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
-#include <thread>
 #include <unordered_set>
 
-#include "sched/coverage.hpp"
 #include "sched/harness.hpp"
-#include "sched/turnstile.hpp"
 #include "stm/sched_hook.hpp"
 #include "util/hash.hpp"
-#include "util/rng.hpp"
 
 namespace tmb::svc {
 
@@ -76,22 +71,6 @@ void validate(const SvcHarnessConfig& cfg) {
     }
 }
 
-/// The sched harness shim carrying the shared STM fields, so svc_stm_spec
-/// inherits stm_spec's determinism pins instead of duplicating them.
-[[nodiscard]] sched::HarnessConfig stm_shim(const SvcHarnessConfig& cfg) {
-    sched::HarnessConfig h;
-    h.backend = cfg.backend;
-    h.table = cfg.table;
-    h.entries = cfg.entries;
-    h.commit_time_locks = cfg.commit_time_locks;
-    h.clock = cfg.clock;
-    h.engine = cfg.engine;
-    h.policy = cfg.policy;
-    h.epoch = cfg.epoch;
-    h.max_entries = cfg.max_entries;
-    return h;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -100,16 +79,7 @@ void validate(const SvcHarnessConfig& cfg) {
 
 SvcHarnessConfig svc_harness_config_from(const config::Config& cfg) {
     SvcHarnessConfig out;
-    out.backend = cfg.get("backend", out.backend);
-    out.table = cfg.get("table", out.table);
-    out.entries = cfg.get_u64("entries", out.entries);
-    out.commit_time_locks =
-        cfg.get_bool("commit_time_locks", out.commit_time_locks);
-    out.clock = cfg.get("clock", out.clock);
-    out.engine = cfg.get("engine", out.engine);
-    out.policy = cfg.get("policy", out.policy);
-    out.epoch = cfg.get_u64("epoch", out.epoch);
-    out.max_entries = cfg.get_u64("max_entries", out.max_entries);
+    sched::read_stm_spec(cfg, out);
     out.max_attempts = cfg.get_u32("max_attempts", out.max_attempts);
     out.step_limit = cfg.get_u64("step_limit", out.step_limit);
     out.svc.clients = cfg.get_u32("clients", out.svc.clients);
@@ -136,30 +106,8 @@ SvcHarnessConfig svc_harness_config_from(const config::Config& cfg) {
     return out;
 }
 
-config::Config svc_stm_spec(const SvcHarnessConfig& cfg) {
-    config::Config spec = sched::stm_spec(stm_shim(cfg));
-    if (cfg.max_attempts != 0) {
-        spec.set("max_attempts", std::to_string(cfg.max_attempts));
-    }
-    return spec;
-}
-
 std::string svc_harness_repro_flags(const SvcHarnessConfig& cfg) {
-    std::string out = "--svc=1 --backend=" + cfg.backend;
-    if (cfg.backend == "table" || cfg.backend == "adaptive") {
-        out += " --table=" + cfg.table;
-    }
-    if (cfg.backend == "adaptive") {
-        if (!cfg.engine.empty()) out += " --engine=" + cfg.engine;
-        if (!cfg.policy.empty()) out += " --policy=" + cfg.policy;
-        if (cfg.epoch != 0) out += " --epoch=" + std::to_string(cfg.epoch);
-        if (cfg.max_entries != 0) {
-            out += " --max_entries=" + std::to_string(cfg.max_entries);
-        }
-    }
-    if (cfg.commit_time_locks) out += " --commit_time_locks=1";
-    if (!cfg.clock.empty()) out += " --clock=" + cfg.clock;
-    out += " --entries=" + std::to_string(cfg.entries);
+    std::string out = "--svc=1 " + sched::stm_repro_flags(cfg);
     out += " --max_attempts=" + std::to_string(cfg.max_attempts);
     out += " --clients=" + std::to_string(cfg.svc.clients);
     out += " --dispatchers=" + std::to_string(cfg.svc.dispatchers);
@@ -182,12 +130,6 @@ std::string svc_harness_repro_flags(const SvcHarnessConfig& cfg) {
     return out;
 }
 
-std::string svc_harness_repro_line(const SvcHarnessConfig& cfg,
-                                   const std::string& schedule) {
-    return "sched_explorer " + svc_harness_repro_flags(cfg) +
-           " --schedule=" + schedule;
-}
-
 // ---------------------------------------------------------------------------
 // The scheduled service run
 // ---------------------------------------------------------------------------
@@ -195,98 +137,26 @@ std::string svc_harness_repro_line(const SvcHarnessConfig& cfg,
 ServiceRunResult run_service_schedule(const SvcHarnessConfig& cfg,
                                       sched::Schedule& schedule) {
     validate(cfg);
-    const auto tm = stm::Stm::create(svc_stm_spec(cfg));
+    config::Config spec = sched::stm_config(cfg);
+    if (cfg.max_attempts != 0) {
+        spec.set("max_attempts", std::to_string(cfg.max_attempts));
+    }
+    const auto tm = stm::Stm::create(spec);
     std::fill(svc_arena(), svc_arena() + std::size_t{kSvcMaxSlots} * 8, 0);
 
     ServiceRunResult result;
-    result.schedule.reserve(256);
     StepClockEnv env(&result.steps);
     Service svc(cfg.svc, *tm, env, svc_arena());
-
-    const std::uint32_t threads = cfg.threads();
-    const std::uint32_t clients = cfg.svc.clients;
-    sched::Turnstile ts(threads);
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (std::uint32_t t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-            sched::WorkerHook hook(ts, t);
-            stm::detail::SchedulerHook* previous =
-                stm::detail::install_scheduler_hook(&hook);
-            std::exception_ptr error;
-            try {
-                if (t < clients) {
-                    svc.client_loop(t);
-                } else {
-                    svc.dispatcher_loop(t - clients);
-                }
-            } catch (const sched::HarnessCancelled&) {
-                // Killed: unwind quietly; the oracle audits what remains.
-            } catch (...) {
-                error = std::current_exception();
-            }
-            stm::detail::install_scheduler_hook(previous);
-            ts.worker_finish(t, std::move(error));
-        });
-    }
-
-    ts.await_parked(threads);
-    std::uint64_t runnable = 0;
-    for (std::uint32_t t = 0; t < threads; ++t) {
-        if (!ts.finished(t)) runnable |= std::uint64_t{1} << t;
-    }
-
-    sched::CoverageAccumulator coverage;
-    while (runnable != 0) {
-        const std::uint32_t pick = schedule.pick(runnable, result.steps);
-        if (pick >= 64 || ((runnable >> pick) & 1) == 0) {
-            ts.cancel();
-            for (std::uint64_t m = runnable; m != 0; m &= m - 1) {
-                ts.grant(static_cast<std::uint32_t>(std::countr_zero(m)));
-            }
-            for (auto& w : workers) w.join();
-            throw std::logic_error(
-                "svc sched: schedule picked a non-runnable thread " +
-                std::to_string(pick));
-        }
-        result.schedule.push_back(sched::thread_to_char(pick));
-        const std::size_t commits_before = svc.commit_count();
-        // Tick before the grant: during step N every worker's now() reads N,
-        // so "timed out at step N" means the grant that was step N.
-        ++result.steps;
-        ts.grant(pick);
-
-        if (ts.finished(pick)) {
-            runnable &= ~(std::uint64_t{1} << pick);
-            schedule.observe(pick, sched::Event::kThreadDone);
-            coverage.finish(pick);
+    const auto body = [&](std::uint32_t t) {
+        if (t < cfg.svc.clients) {
+            svc.client_loop(t);
         } else {
-            coverage.step(pick, ts.last_point(pick), ts.last_site(pick));
-            result.sites_seen |=
-                std::uint32_t{1}
-                << static_cast<std::uint32_t>(ts.last_site(pick));
-            if (ts.last_point(pick) == YieldPoint::kRetry) {
-                schedule.observe(pick, sched::Event::kAbort);
-            }
+            svc.dispatcher_loop(t - cfg.svc.clients);
         }
-        if (svc.commit_count() > commits_before) {
-            schedule.observe(pick, sched::Event::kCommit);
-        }
-
-        if (result.steps >= cfg.step_limit && runnable != 0) {
-            result.cancelled = true;
-            ts.cancel();
-            for (std::uint64_t m = runnable; m != 0; m &= m - 1) {
-                ts.grant(static_cast<std::uint32_t>(std::countr_zero(m)));
-            }
-            break;
-        }
-    }
-
-    for (auto& w : workers) w.join();
-    for (std::uint32_t t = 0; t < threads; ++t) {
-        if (ts.error(t)) std::rethrow_exception(ts.error(t));
-    }
+    };
+    const sched::CoverageAccumulator coverage =
+        sched::drive(cfg.threads(), cfg.step_limit, schedule, body,
+                     [&] { return svc.commit_count(); }, result);
 
     result.final_state.resize(cfg.svc.slots);
     std::uint64_t h = 0x5eedc0de ^ cfg.svc.slots;
@@ -433,141 +303,38 @@ std::optional<std::string> check_service_consistent(
     return std::nullopt;
 }
 
-std::optional<std::string> check_service_kill_point(
-    const SvcHarnessConfig& cfg, const std::string& schedule,
-    std::uint64_t kill_step) {
-    SvcHarnessConfig killed = cfg;
-    killed.step_limit = kill_step;
-    config::Config sc;
-    sc.set("sched", "replay");
-    sc.set("schedule", schedule);
-    const auto sch = sched::make_schedule(sc, 0);
-    const ServiceRunResult run = run_service_schedule(killed, *sch);
-    return check_service_consistent(killed, run);
+// ---------------------------------------------------------------------------
+// The service subject
+// ---------------------------------------------------------------------------
+
+sched::Outcome ServiceSubject::run(sched::Schedule& schedule,
+                                   std::uint64_t step_limit, bool complete,
+                                   std::string* detail) const {
+    SvcHarnessConfig cfg = cfg_;
+    cfg.step_limit = step_limit;
+    ServiceRunResult run = run_service_schedule(cfg, schedule);
+    if (detail) {
+        const SvcCounters& c = run.counters;
+        *detail = std::to_string(c.submitted) + " submitted, " +
+                  std::to_string(c.completed) + " completed, " +
+                  std::to_string(c.rejected_queue) + "+" +
+                  std::to_string(c.rejected_retry) + " rejected, " +
+                  std::to_string(c.timed_out) + " timed out, " +
+                  std::to_string(c.retries) + " retries, " +
+                  std::to_string(run.commit_log.size()) + " commits";
+    }
+    auto error = complete && run.cancelled
+                     ? sched::step_limit_error(run.steps, step_limit)
+                     : check_service_consistent(cfg, run);
+    return {std::move(run), std::move(error)};
 }
 
-// ---------------------------------------------------------------------------
-// Guided fuzzing over service schedules
-// ---------------------------------------------------------------------------
-
-sched::FuzzResult fuzz_service(const SvcHarnessConfig& cfg,
-                               const sched::FuzzOptions& opts,
-                               sched::Corpus& corpus) {
-    SvcHarnessConfig run_cfg = cfg;
-    if (opts.step_limit != 0) {
-        run_cfg.step_limit = std::min(cfg.step_limit, opts.step_limit);
+std::unique_ptr<sched::Subject> make_subject(const config::Config& cli) {
+    if (cli.get_bool("svc", false)) {
+        return std::make_unique<ServiceSubject>(svc_harness_config_from(cli));
     }
-    sched::FuzzResult out;
-    util::Xoshiro256 rng(opts.seed);
-
-    const auto replay = [&](const std::string& picks) {
-        config::Config sc;
-        sc.set("sched", "replay");
-        sc.set("schedule", picks);
-        const auto sch = sched::make_schedule(sc, 0);
-        return run_service_schedule(run_cfg, *sch);
-    };
-
-    const auto oracle = [&](const ServiceRunResult& run) {
-        if (const auto error = check_service_consistent(run_cfg, run)) {
-            sched::Violation v;
-            v.schedule = run.schedule;
-            v.repro = svc_harness_repro_line(cfg, run.schedule);
-            v.message = *error + "\n  repro: " + v.repro;
-            out.violations.push_back(std::move(v));
-        }
-    };
-
-    const auto retain = [&](const ServiceRunResult& run) {
-        std::string kept = run.schedule;
-        if (opts.shrink && kept.size() > 1 && out.runs < opts.budget) {
-            const std::uint64_t cap =
-                std::min(opts.shrink_probes, opts.budget - out.runs);
-            const auto same_signature = [&](const std::string& cand) {
-                const ServiceRunResult probe = replay(cand);
-                ++out.runs;
-                out.stats.merge(probe.stats);
-                out.sites_seen |= probe.sites_seen;
-                oracle(probe);
-                (void)corpus.observe(probe.signature);
-                return probe.signature == run.signature;
-            };
-            kept = sched::shrink_schedule(std::move(kept), same_signature, cap);
-        }
-        corpus.add(std::move(kept), run.signature);
-    };
-
-    config::Config random_cfg;
-    random_cfg.set("sched", "random");
-    for (std::uint64_t i = 0; i < opts.init && out.runs < opts.budget; ++i) {
-        const auto sch = sched::make_schedule(
-            random_cfg, util::mix64(opts.seed ^ (i + 1)));
-        const ServiceRunResult run = run_service_schedule(run_cfg, *sch);
-        ++out.runs;
-        out.stats.merge(run.stats);
-        out.sites_seen |= run.sites_seen;
-        oracle(run);
-        if (opts.stop_at_first && !out.violations.empty()) return out;
-        if (corpus.observe(run.signature)) retain(run);
-    }
-
-    constexpr std::size_t kNoBase = static_cast<std::size_t>(-1);
-    std::uint64_t since_sync = 0;
-    std::uint64_t since_kill = 0;
-    while (out.runs < opts.budget &&
-           !(opts.stop_at_first && !out.violations.empty())) {
-        std::size_t base_idx = kNoBase;
-        ServiceRunResult run;
-        if (corpus.empty() || rng.below(8) == 0) {
-            const auto sch = sched::make_schedule(random_cfg, rng());
-            run = run_service_schedule(run_cfg, *sch);
-        } else {
-            base_idx = corpus.select(rng);
-            ++corpus.entry(base_idx).trials;
-            const std::string mutant = sched::mutate_schedule(
-                corpus.entry(base_idx).schedule,
-                corpus.entry(corpus.select(rng)).schedule, cfg.threads(), rng);
-            run = replay(mutant);
-        }
-        ++out.runs;
-        ++since_sync;
-        out.stats.merge(run.stats);
-        out.sites_seen |= run.sites_seen;
-        oracle(run);
-        if (opts.stop_at_first && !out.violations.empty()) return out;
-        if (corpus.observe(run.signature)) {
-            ++out.new_coverage_mutants;
-            if (base_idx != kNoBase) ++corpus.entry(base_idx).yield;
-            retain(run);
-        }
-
-        ++since_kill;
-        if (opts.kill_every != 0 && since_kill >= opts.kill_every &&
-            run.steps > 0 && out.runs < opts.budget) {
-            since_kill = 0;
-            const std::uint64_t kill = 1 + rng.below(run.steps);
-            ++out.runs;
-            ++out.kill_checks;
-            if (const auto error = check_service_kill_point(
-                    run_cfg, run.schedule, kill)) {
-                sched::Violation v;
-                v.schedule = run.schedule;
-                v.repro = svc_harness_repro_line(cfg, run.schedule) +
-                          " --kill_step=" + std::to_string(kill);
-                v.message = "kill-point (step " + std::to_string(kill) +
-                            "): " + *error + "\n  repro: " + v.repro;
-                out.violations.push_back(std::move(v));
-            }
-        }
-
-        if (!corpus.dir().empty() && opts.sync_every != 0 &&
-            since_sync >= opts.sync_every) {
-            since_sync = 0;
-            (void)corpus.sync();
-        }
-    }
-    if (!corpus.dir().empty()) (void)corpus.sync();
-    return out;
+    return std::make_unique<sched::ProgramSubject>(
+        sched::harness_config_from(cli));
 }
 
 }  // namespace tmb::svc

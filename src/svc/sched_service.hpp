@@ -1,6 +1,7 @@
-// sched_service.hpp — the service harness under the deterministic
-// turnstile: kill-at-any-step runs with a conservation + prefix-consistency
-// oracle, and guided schedule fuzzing over service interleavings.
+// sched_service.hpp — the service front-end as the second subject of the
+// schedule-exploration core (sched/explore.hpp): kill-at-any-step runs
+// with a conservation + prefix-consistency oracle, explored, replayed,
+// minimized and fuzzed by the same modes as the generated programs.
 //
 // The same Service object that serves real threads (svc/service.hpp) runs
 // here on virtual threads: clients 0..C-1 and dispatchers C..C+D-1 advance
@@ -15,18 +16,17 @@
 //   * prefix consistency — the recorded commit log replayed serially
 //     reproduces every recorded read/write and the rolled-back final
 //     memory, i.e. a kill never tears a batch or loses a committed one.
-//
-// fuzz_service is the service-shaped twin of sched::fuzz_explore: same
-// Corpus, same mutators, same signature scheme, different subject.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/config.hpp"
-#include "sched/corpus.hpp"
+#include "sched/explore.hpp"
 #include "sched/schedule.hpp"
 #include "svc/service.hpp"
 
@@ -40,16 +40,7 @@ inline constexpr std::uint32_t kSvcMaxSlots = 2048;
 /// One deterministic service subject: STM selection + service shape.
 /// Arrival is always closed (virtual time has no Poisson process), and
 /// svc.deadline_us is measured in scheduler *steps*.
-struct SvcHarnessConfig {
-    std::string backend = "table";
-    std::string table = "tagless";
-    std::uint64_t entries = 16;
-    bool commit_time_locks = false;
-    std::string clock;
-    std::string engine;
-    std::string policy;
-    std::uint64_t epoch = 0;
-    std::uint64_t max_entries = 0;
+struct SvcHarnessConfig : sched::StmSpec {
     /// STM-internal attempts before TooMuchContention surfaces to the
     /// dispatcher's retry/backoff layer. Small by default so schedules can
     /// actually reach the service-level retry paths.
@@ -74,35 +65,21 @@ struct SvcHarnessConfig {
     }
 };
 
-/// Parses sched_explorer-style keys: the sched harness STM vocabulary
-/// (backend, table, entries, commit_time_locks, clock, engine, policy,
-/// epoch, max_entries) plus max_attempts, step_limit, and the service shape
-/// (clients, dispatchers, shards, queue_depth, batch, requests, ops, slots,
-/// rmw, wseed, deadline_steps, retry=none|backoff:<n>, svc_fault).
+/// Parses sched_explorer-style keys: the STM keys (sched::read_stm_spec)
+/// plus max_attempts, step_limit, and the service shape (clients,
+/// dispatchers, shards, queue_depth, batch, requests, ops, slots, rmw,
+/// wseed, deadline_steps, retry=none|backoff:<n>, svc_fault).
 [[nodiscard]] SvcHarnessConfig svc_harness_config_from(
     const config::Config& cfg);
 
-/// The Config handed to stm::Stm::create — the sched harness determinism
-/// pins (hash=shift-mask, contention=none, reclaim_shards=2) plus
-/// max_attempts.
-[[nodiscard]] config::Config svc_stm_spec(const SvcHarnessConfig& cfg);
-
+/// `--svc=1` plus the `--key=value` flags svc_harness_config_from turns
+/// back into `cfg` (everything except the schedule string).
 [[nodiscard]] std::string svc_harness_repro_flags(const SvcHarnessConfig& cfg);
-[[nodiscard]] std::string svc_harness_repro_line(const SvcHarnessConfig& cfg,
-                                                 const std::string& schedule);
 
 /// Outcome of one scheduled service run.
-struct ServiceRunResult {
-    std::string schedule;  ///< recorded picks (replayable)
-    std::uint64_t steps = 0;
-    bool cancelled = false;  ///< killed at step_limit
+struct ServiceRunResult : sched::RunTrace {
     SvcCounters counters;
     std::vector<SvcCommit> commit_log;  ///< commit order
-    std::vector<std::uint64_t> final_state;
-    std::uint64_t state_hash = 0;
-    stm::StmStats stats;
-    std::uint64_t signature = 0;
-    std::uint32_t sites_seen = 0;  ///< YieldSite bitmask (harness.hpp)
     bool ledger_ok = false;
     std::string ledger_note;
 };
@@ -121,17 +98,34 @@ struct ServiceRunResult {
 [[nodiscard]] std::optional<std::string> check_service_consistent(
     const SvcHarnessConfig& cfg, const ServiceRunResult& run);
 
-/// Kill-point oracle: replays `schedule` with the step budget cut to
-/// `kill_step` and applies check_service_consistent to whatever survived.
-[[nodiscard]] std::optional<std::string> check_service_kill_point(
-    const SvcHarnessConfig& cfg, const std::string& schedule,
-    std::uint64_t kill_step);
+/// The service as an exploration subject. Its oracle is
+/// check_service_consistent, which audits cancelled runs with the relaxed
+/// in-flight ledger; under the full oracle a cancelled run is a violation.
+class ServiceSubject final : public sched::Subject {
+public:
+    explicit ServiceSubject(SvcHarnessConfig cfg) : cfg_(std::move(cfg)) {}
 
-/// Coverage-guided fuzzing over service schedules — sched::fuzz_explore's
-/// twin (same corpus format, mutators, signatures, kill cadence), with
-/// check_service_consistent as the oracle.
-[[nodiscard]] sched::FuzzResult fuzz_service(const SvcHarnessConfig& cfg,
-                                             const sched::FuzzOptions& opts,
-                                             sched::Corpus& corpus);
+    [[nodiscard]] sched::StmSpec& stm() override { return cfg_; }
+    [[nodiscard]] std::uint32_t threads() const override {
+        return cfg_.threads();
+    }
+    [[nodiscard]] std::uint64_t step_limit() const override {
+        return cfg_.step_limit;
+    }
+    [[nodiscard]] std::string repro_flags() const override {
+        return svc_harness_repro_flags(cfg_);
+    }
+    [[nodiscard]] sched::Outcome run(sched::Schedule& schedule,
+                                     std::uint64_t step_limit, bool complete,
+                                     std::string* detail) const override;
+
+private:
+    SvcHarnessConfig cfg_;
+};
+
+/// The subject a sched_explorer command line names: the service with
+/// --svc=1, the generated transaction programs otherwise.
+[[nodiscard]] std::unique_ptr<sched::Subject> make_subject(
+    const config::Config& cli);
 
 }  // namespace tmb::svc

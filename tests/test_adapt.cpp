@@ -221,8 +221,9 @@ sched::HarnessConfig adaptive_config(const std::string& policy,
 
 TEST(AdaptiveSched, CycleSwitchesStaySerializableUnderRandomSchedules) {
     const auto cfg = adaptive_config("cycle", 2);
-    const auto result = sched::explore(
-        cfg, config::Config::from_string("sched=random"), 150, 23);
+    const auto result =
+        sched::explore(sched::ProgramSubject(cfg),
+                       config::Config::from_string("sched=random"), 150, 23);
     EXPECT_EQ(result.runs, 150u);
     EXPECT_TRUE(result.violations.empty())
         << result.violations.front().message;
@@ -235,8 +236,8 @@ TEST(AdaptiveSched, CycleSwitchesStaySerializableUnderRandomSchedules) {
 TEST(AdaptiveSched, CycleSwitchesStaySerializableUnderPct) {
     const auto cfg = adaptive_config("cycle", 2);
     const auto result = sched::explore(
-        cfg, config::Config::from_string("sched=pct depth=3 steps=400"), 150,
-        29);
+        sched::ProgramSubject(cfg),
+        config::Config::from_string("sched=pct depth=3 steps=400"), 150, 29);
     EXPECT_EQ(result.runs, 150u);
     EXPECT_TRUE(result.violations.empty())
         << result.violations.front().message;

@@ -14,6 +14,7 @@
 #include "sched/harness.hpp"
 #include "sched/schedule.hpp"
 #include "stm/sched_hook.hpp"
+#include "svc/sched_service.hpp"
 
 namespace tmb::sched {
 namespace {
@@ -136,9 +137,7 @@ TEST(HarnessConfig, ParsesAndValidates) {
 TEST(SchedHarness, ReplayReproducesBitIdenticalRuns) {
     for (const BackendPair& pair : default_backend_pairs()) {
         HarnessConfig cfg;
-        cfg.backend = pair.backend;
-        if (!pair.table.empty()) cfg.table = pair.table;
-        cfg.commit_time_locks = pair.commit_time_locks;
+        pair.apply(cfg);
         cfg.entries = 4;  // slots > entries: tagless aliasing in play
         cfg.slots = 8;
         cfg.write_fraction = 0.7;
@@ -191,7 +190,8 @@ TEST(SchedOracle, CatchesTableBackendThatIgnoresConflicts) {
     const FaultGuard fault(
         stm::detail::test_faults().ignore_acquire_conflicts);
     const HarnessConfig cfg = contended_config();
-    const auto result = explore(cfg, sched_spec("sched=random"), 60, 13);
+    const auto result =
+        explore(ProgramSubject(cfg), sched_spec("sched=random"), 60, 13);
     ASSERT_FALSE(result.violations.empty())
         << "a backend that ignores conflicts must violate serializability";
     // Every failure carries a copy-pasteable repro line.
@@ -208,7 +208,8 @@ TEST(SchedOracle, CatchesTaggedBackendThatIgnoresConflicts) {
         stm::detail::test_faults().ignore_acquire_conflicts);
     HarnessConfig cfg = contended_config();
     cfg.table = "tagged";
-    const auto result = explore(cfg, sched_spec("sched=random"), 60, 13);
+    const auto result =
+        explore(ProgramSubject(cfg), sched_spec("sched=random"), 60, 13);
     EXPECT_FALSE(result.violations.empty());
 }
 
@@ -217,7 +218,8 @@ TEST(SchedOracle, CatchesTl2ThatSkipsCommitValidation) {
     HarnessConfig cfg = contended_config();
     cfg.backend = "tl2";
     cfg.write_fraction = 0.6;  // reads + writes: stale reads become visible
-    const auto result = explore(cfg, sched_spec("sched=random"), 200, 17);
+    const auto result =
+        explore(ProgramSubject(cfg), sched_spec("sched=random"), 200, 17);
     EXPECT_FALSE(result.violations.empty())
         << "TL2 without read-set validation must commit stale reads";
 }
@@ -227,11 +229,13 @@ TEST(SchedOracle, FaultyScheduleMinimizesAndStillFails) {
         stm::detail::test_faults().ignore_acquire_conflicts);
     const HarnessConfig cfg = contended_config();
     const auto programs = generate_programs(cfg);
-    const auto result = explore(cfg, sched_spec("sched=random"), 60, 13);
+    const auto result =
+        explore(ProgramSubject(cfg), sched_spec("sched=random"), 60, 13);
     ASSERT_FALSE(result.violations.empty());
 
     const std::string& original = result.violations.front().schedule;
-    const std::string shrunk = minimize_schedule(cfg, programs, original);
+    const std::string shrunk =
+        minimize_schedule(ProgramSubject(cfg), original);
     EXPECT_LE(shrunk.size(), original.size());
 
     config::Config rc;
@@ -247,13 +251,12 @@ TEST(SchedOracle, CleanBackendsPassEverywhere) {
     // workload, random schedules, zero violations.
     for (const BackendPair& pair : default_backend_pairs()) {
         HarnessConfig cfg;
-        cfg.backend = pair.backend;
-        if (!pair.table.empty()) cfg.table = pair.table;
-        cfg.commit_time_locks = pair.commit_time_locks;
+        pair.apply(cfg);
         cfg.entries = 4;
         cfg.slots = 8;
         cfg.write_fraction = 0.7;
-        const auto result = explore(cfg, sched_spec("sched=random"), 100, 3);
+        const auto result =
+            explore(ProgramSubject(cfg), sched_spec("sched=random"), 100, 3);
         EXPECT_EQ(result.runs, 100u);
         EXPECT_TRUE(result.violations.empty())
             << pair.label() << ": " << result.violations.front().message;
@@ -286,19 +289,103 @@ TEST(SchedDyn, ConfigParsesAndReproRoundTrips) {
               true);
 }
 
+TEST(SchedSpec, ReproFlagsRoundTripForBothSubjects) {
+    // Rows: every built-in pair, adaptive with all four of its knobs, and
+    // TL2's gv1 clock. Each row's repro flags must parse back into the same
+    // config for both subjects, each with its own keys set too (the
+    // harness's dyn mode and cache_blocks, the service's max_attempts and
+    // shape).
+    std::vector<StmSpec> rows;
+    for (const BackendPair& pair : default_backend_pairs()) {
+        StmSpec spec;
+        pair.apply(spec);
+        rows.push_back(spec);
+    }
+    StmSpec adaptive;
+    adaptive.backend = "adaptive";
+    adaptive.entries = 4;
+    adaptive.engine = "table";
+    adaptive.policy = "cycle";
+    adaptive.epoch = 8;
+    adaptive.max_entries = 256;
+    rows.push_back(adaptive);
+    StmSpec gv1;
+    gv1.backend = "tl2";
+    gv1.clock = "gv1";
+    rows.push_back(gv1);
+
+    for (const StmSpec& spec : rows) {
+        HarnessConfig h;
+        static_cast<StmSpec&>(h) = spec;
+        h.slots = 8;
+        h.write_fraction = 0.7;
+        h.read_only_fraction = 0.1;
+        h.dynamic = true;
+        h.workload_seed = 5;
+        h.cache_blocks = 0;
+        EXPECT_EQ(harness_config_from(sched_spec(repro_flags(h))), h)
+            << repro_flags(h);
+
+        svc::SvcHarnessConfig s;
+        static_cast<StmSpec&>(s) = spec;
+        s.max_attempts = 2;
+        s.svc.dispatchers = 2;
+        s.svc.deadline_us = 48;
+        s.svc.retry_budget = 3;
+        const std::string flags = svc::svc_harness_repro_flags(s);
+        const auto back = svc::svc_harness_config_from(sched_spec(flags));
+        EXPECT_EQ(static_cast<const StmSpec&>(back), spec) << flags;
+        EXPECT_EQ(back.max_attempts, s.max_attempts) << flags;
+        EXPECT_EQ(svc::svc_harness_repro_flags(back), flags);
+    }
+}
+
+TEST(SchedSpec, ParentFormatReproLinesStillReplay) {
+    // Repro lines verbatim as earlier builds printed them (saved CI
+    // artifacts): every key must still be read, and each replay must land
+    // on the step count and state hash those builds reported.
+    struct Line {
+        const char* repro;
+        std::uint64_t steps;
+        std::uint64_t state_hash;
+    };
+    const Line lines[] = {
+        {"sched_explorer --backend=table --table=tagless --entries=4 "
+         "--threads=3 --txs=3 --ops=4 --slots=8 --wfrac=0.7 --rofrac=0.25 "
+         "--mode=acc --wseed=1 --schedule=0120120120",
+         90, 0x8a7864d61683f335ULL},
+        {"sched_explorer --svc=1 --backend=table --table=tagless "
+         "--entries=16 --max_attempts=4 --clients=2 --dispatchers=2 "
+         "--shards=1 --queue_depth=2 --batch=2 --requests=3 --ops=2 "
+         "--slots=8 --rmw=1 --wseed=1 --retry=backoff:3 "
+         "--schedule=0123202131023",
+         94, 0x197daf38b8be9634ULL},
+    };
+    for (const Line& line : lines) {
+        const std::string repro = line.repro;
+        const auto cli = sched_spec(repro.substr(repro.find(' ') + 1));
+        const std::string schedule = cli.get("schedule", "");
+        const auto subject = svc::make_subject(cli);
+        EXPECT_NO_THROW(config::reject_unknown(cli)) << repro;
+        const Outcome out = replay(*subject, schedule);
+        EXPECT_EQ(out.error, std::nullopt) << repro;
+        EXPECT_EQ(out.run.steps, line.steps) << repro;
+        EXPECT_EQ(out.run.state_hash, line.state_hash) << repro;
+    }
+}
+
 TEST(SchedDyn, CleanBackendsPassTheLifetimeOracle) {
     auto pairs = default_backend_pairs();
     pairs.push_back({"adaptive", "tagless", false});
     for (const BackendPair& pair : pairs) {
         HarnessConfig cfg = dyn_config();
-        cfg.backend = pair.backend;
-        if (!pair.table.empty()) cfg.table = pair.table;
-        cfg.commit_time_locks = pair.commit_time_locks;
+        pair.apply(cfg);
         if (pair.backend == "adaptive") {
             cfg.policy = "cycle";  // engine swaps mid-run drain reclamation
             cfg.epoch = 4;
         }
-        const auto result = explore(cfg, sched_spec("sched=random"), 80, 29);
+        const auto result =
+            explore(ProgramSubject(cfg), sched_spec("sched=random"), 80, 29);
         EXPECT_EQ(result.runs, 80u);
         EXPECT_TRUE(result.violations.empty())
             << pair.label() << ": " << result.violations.front().message;
@@ -343,10 +430,9 @@ TEST(SchedDyn, EagerReclamationIsCaughtAsLifetimeViolation) {
          {BackendPair{"tl2", "", false}, BackendPair{"table", "tagless", true},
           BackendPair{"table", "tagged", true}}) {
         HarnessConfig cfg = dyn_config();
-        cfg.backend = pair.backend;
-        if (!pair.table.empty()) cfg.table = pair.table;
-        cfg.commit_time_locks = pair.commit_time_locks;
-        const auto result = explore(cfg, sched_spec("sched=random"), 150, 41);
+        pair.apply(cfg);
+        const auto result =
+            explore(ProgramSubject(cfg), sched_spec("sched=random"), 150, 41);
         for (const Violation& v : result.violations) {
             EXPECT_NE(v.repro.find("--mode=dyn"), std::string::npos);
             caught_lifetime |=
@@ -367,13 +453,12 @@ TEST(SchedDyn, CacheOffSweepPassesTheLifetimeOracle) {
           BackendPair{"table", "tagless", false},
           BackendPair{"table", "tagged", true}}) {
         HarnessConfig cfg = dyn_config();
-        cfg.backend = pair.backend;
-        if (!pair.table.empty()) cfg.table = pair.table;
-        cfg.commit_time_locks = pair.commit_time_locks;
+        pair.apply(cfg);
         cfg.cache_blocks = 0;
         EXPECT_NE(repro_flags(cfg).find("--cache_blocks=0"),
                   std::string::npos);
-        const auto result = explore(cfg, sched_spec("sched=random"), 60, 31);
+        const auto result =
+            explore(ProgramSubject(cfg), sched_spec("sched=random"), 60, 31);
         EXPECT_EQ(result.runs, 60u);
         EXPECT_TRUE(result.violations.empty())
             << pair.label() << ": " << result.violations.front().message;
@@ -390,7 +475,8 @@ TEST(SchedDyn, LeakyCacheIsCaughtAsLifetimeViolation) {
     const FaultGuard fault(stm::detail::test_faults().leaky_cache);
     HarnessConfig cfg = dyn_config();
     cfg.backend = "tl2";
-    const auto result = explore(cfg, sched_spec("sched=random"), 150, 47);
+    const auto result =
+        explore(ProgramSubject(cfg), sched_spec("sched=random"), 150, 47);
     bool caught_lifetime = false;
     for (const Violation& v : result.violations) {
         EXPECT_NE(v.repro.find("--mode=dyn"), std::string::npos);
@@ -407,11 +493,13 @@ TEST(SchedDyn, LeakyCacheScheduleMinimizesAndStillFails) {
     HarnessConfig cfg = dyn_config();
     cfg.backend = "tl2";
     const auto programs = generate_programs(cfg);
-    const auto result = explore(cfg, sched_spec("sched=random"), 150, 47);
+    const auto result =
+        explore(ProgramSubject(cfg), sched_spec("sched=random"), 150, 47);
     ASSERT_FALSE(result.violations.empty());
 
     const std::string& original = result.violations.front().schedule;
-    const std::string shrunk = minimize_schedule(cfg, programs, original);
+    const std::string shrunk =
+        minimize_schedule(ProgramSubject(cfg), original);
     EXPECT_LE(shrunk.size(), original.size());
 
     config::Config rc;

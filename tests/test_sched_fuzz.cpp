@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "sched/harness.hpp"
 #include "sched/schedule.hpp"
 #include "stm/sched_hook.hpp"
+#include "svc/sched_service.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -65,7 +67,7 @@ std::uint64_t guided_distinct_signatures(const HarnessConfig& cfg,
     FuzzOptions opts;
     opts.budget = budget;
     opts.seed = seed;
-    const auto result = fuzz_explore(cfg, opts, corpus);
+    const auto result = fuzz_explore(ProgramSubject(cfg), opts, corpus);
     EXPECT_TRUE(result.violations.empty())
         << result.violations.front().message;
     return corpus.distinct_signatures();
@@ -96,7 +98,7 @@ std::uint64_t guided_runs_to_violation(const HarnessConfig& cfg,
     opts.seed = seed;
     opts.init = 64;
     opts.stop_at_first = true;
-    const auto result = fuzz_explore(cfg, opts, corpus);
+    const auto result = fuzz_explore(ProgramSubject(cfg), opts, corpus);
     return result.violations.empty() ? cap + 1 : result.runs;
 }
 
@@ -191,9 +193,7 @@ TEST(Coverage, CountClassesAreAflCoarse) {
 TEST(Coverage, IdenticalRunsCarryIdenticalSignatures) {
     for (const BackendPair& pair : default_backend_pairs()) {
         HarnessConfig cfg = contended_config();
-        cfg.backend = pair.backend;
-        if (!pair.table.empty()) cfg.table = pair.table;
-        cfg.commit_time_locks = pair.commit_time_locks;
+        pair.apply(cfg);
         const auto programs = generate_programs(cfg);
 
         const auto sc = config::Config::from_string("sched=random");
@@ -376,7 +376,7 @@ TEST(Fuzz, SingleJobIsBitReproducible) {
     FuzzResult results[2];
     for (int i = 0; i < 2; ++i) {
         Corpus corpus;
-        results[i] = fuzz_explore(cfg, opts, corpus);
+        results[i] = fuzz_explore(ProgramSubject(cfg), opts, corpus);
         for (std::size_t e = 0; e < corpus.size(); ++e) {
             schedules[i].push_back(corpus.entry(e).schedule);
             signatures[i].push_back(corpus.entry(e).signature);
@@ -405,7 +405,7 @@ TEST(Fuzz, ReachesAdaptiveDecisionSites) {
     FuzzOptions opts;
     opts.budget = 120;
     opts.seed = 17;
-    const auto result = fuzz_explore(cfg, opts, corpus);
+    const auto result = fuzz_explore(ProgramSubject(cfg), opts, corpus);
     EXPECT_TRUE(result.violations.empty())
         << result.violations.front().message;
     using stm::detail::YieldSite;
@@ -532,9 +532,7 @@ TEST(KillPoint, PrefixConsistentAtEveryStepOnCleanBackends) {
          {BackendPair{"tl2", "", false}, BackendPair{"table", "tagless", false},
           BackendPair{"table", "tagless", true}}) {
         HarnessConfig cfg = contended_config();
-        cfg.backend = pair.backend;
-        if (!pair.table.empty()) cfg.table = pair.table;
-        cfg.commit_time_locks = pair.commit_time_locks;
+        pair.apply(cfg);
         const auto programs = generate_programs(cfg);
 
         const auto sc = config::Config::from_string("sched=random");
@@ -542,9 +540,9 @@ TEST(KillPoint, PrefixConsistentAtEveryStepOnCleanBackends) {
         const RunResult run = run_schedule(cfg, programs, *sch);
         ASSERT_FALSE(run.cancelled);
 
+        const ProgramSubject subject(cfg);
         for (std::uint64_t kill = 1; kill <= run.steps; ++kill) {
-            const auto error =
-                check_kill_point(cfg, programs, run.schedule, kill);
+            const auto error = replay(subject, run.schedule, kill).error;
             ASSERT_FALSE(error.has_value())
                 << pair.label() << " kill at step " << kill << ": " << *error;
         }
@@ -570,9 +568,8 @@ TEST(KillPoint, KilledRunsReportPartialPrefixes) {
     EXPECT_FALSE(
         check_prefix_consistent(killed, programs, partial).has_value());
 
-    EXPECT_FALSE(
-        check_kill_point(cfg, programs, full.schedule, full.steps + 100)
-            .has_value());
+    EXPECT_FALSE(replay(ProgramSubject(cfg), full.schedule, full.steps + 100)
+                     .error.has_value());
 }
 
 TEST(KillPoint, CatchesFaultyBackendAtSomeKillPoint) {
@@ -580,19 +577,93 @@ TEST(KillPoint, CatchesFaultyBackendAtSomeKillPoint) {
         stm::detail::test_faults().ignore_acquire_conflicts);
     const HarnessConfig cfg = contended_config();
     const auto programs = generate_programs(cfg);
-    const auto result = explore(cfg, config::Config::from_string("sched=random"),
+    const auto result = explore(ProgramSubject(cfg),
+                                config::Config::from_string("sched=random"),
                                 60, 13);
     ASSERT_FALSE(result.violations.empty());
     const std::string& schedule = result.violations.front().schedule;
 
     const RunResult run = replay_run(cfg, programs, schedule);
+    const ProgramSubject subject(cfg);
     bool caught = false;
     for (std::uint64_t kill = 1; kill <= run.steps && !caught; ++kill) {
-        caught = check_kill_point(cfg, programs, schedule, kill).has_value();
+        caught = replay(subject, schedule, kill).error.has_value();
     }
     EXPECT_TRUE(caught)
         << "a serializability violation must survive into some killed "
            "prefix of its schedule";
+}
+
+// ---------------------------------------------------------------------------
+// Repro lines of step-capped fuzz runs
+// ---------------------------------------------------------------------------
+
+/// The subject, schedule and kill step a printed repro line names.
+struct ParsedRepro {
+    std::unique_ptr<Subject> subject;
+    std::string schedule;
+    std::uint64_t kill_step = 0;
+};
+
+ParsedRepro parse_repro(const std::string& line) {
+    const std::string tool = "sched_explorer ";
+    EXPECT_EQ(line.rfind(tool, 0), 0u) << line;
+    const auto cli = config::Config::from_string(line.substr(tool.size()));
+    ParsedRepro out;
+    out.schedule = cli.get("schedule", "");
+    out.kill_step = cli.get_u64("kill_step", 0);
+    out.subject = svc::make_subject(cli);
+    EXPECT_NO_THROW(config::reject_unknown(cli)) << line;
+    return out;
+}
+
+TEST(FuzzRepro, CappedRunViolationsReplayVerbatim) {
+    // A violation found on a run cut at the fuzz step cap must print a
+    // repro line that replays the same cut (--kill_step=<steps>) under the
+    // same prefix oracle: parsing it back and replaying it through the core
+    // gives the same message at the same step count. Both subjects, with
+    // conflicts ignored so the oracles fire; the service runs two
+    // dispatchers on two slots, since a single dispatcher has no
+    // concurrency for the fault to break.
+    const FaultGuard fault(
+        stm::detail::test_faults().ignore_acquire_conflicts);
+    svc::SvcHarnessConfig service;
+    service.svc.dispatchers = 2;
+    service.svc.slots = 2;
+    struct Case {
+        const char* name;
+        std::unique_ptr<Subject> subject;
+        std::uint64_t step_cap;
+    };
+    Case cases[] = {
+        {"programs", std::make_unique<ProgramSubject>(contended_config()), 16},
+        {"service", std::make_unique<svc::ServiceSubject>(service), 40},
+    };
+    for (const Case& c : cases) {
+        Corpus corpus;
+        FuzzOptions opts;
+        opts.budget = 300;
+        opts.seed = 5;
+        opts.step_limit = c.step_cap;
+        const auto result = fuzz_explore(*c.subject, opts, corpus);
+        std::size_t capped = 0;
+        for (const Violation& v : result.violations) {
+            const ParsedRepro r = parse_repro(v.repro);
+            ASSERT_EQ(r.schedule, v.schedule) << v.repro;
+            const Outcome again = replay(*r.subject, r.schedule, r.kill_step);
+            ASSERT_TRUE(again.error.has_value()) << v.message;
+            EXPECT_NE(v.message.find(*again.error + "\n  repro: " + v.repro),
+                      std::string::npos)
+                << c.name << " replayed: " << *again.error
+                << "\n  fuzzed: " << v.message;
+            EXPECT_EQ(again.run.steps,
+                      r.kill_step != 0 ? r.kill_step : v.schedule.size())
+                << v.repro;
+            if (r.kill_step != 0) ++capped;
+        }
+        EXPECT_GT(capped, 0u)
+            << c.name << ": no violation came from a run cut at the step cap";
+    }
 }
 
 }  // namespace

@@ -293,7 +293,7 @@ TEST(SvcSched, RequestConservationHoldsAtEveryKillStep) {
     ASSERT_GT(full.steps, 10u);
     for (std::uint64_t kill = 1; kill <= full.steps; ++kill) {
         const auto error =
-            check_service_kill_point(cfg, full.schedule, kill);
+            sched::replay(ServiceSubject(cfg), full.schedule, kill).error;
         ASSERT_FALSE(error.has_value())
             << "kill at step " << kill << ": " << *error;
     }
@@ -330,7 +330,7 @@ TEST(SvcFuzz, ReachesEveryServiceYieldSiteAndStaysClean) {
     opts.init = 12;
     opts.shrink_probes = 4;  // leave budget for the mutation loop
     opts.kill_every = 8;
-    const auto result = fuzz_service(cfg, opts, corpus);
+    const auto result = sched::fuzz_explore(ServiceSubject(cfg), opts, corpus);
     EXPECT_TRUE(result.violations.empty())
         << result.violations.front().message;
     EXPECT_GT(result.kill_checks, 0u);
@@ -353,7 +353,7 @@ TEST(SvcFuzz, SingleJobIsBitReproducible) {
     sched::FuzzResult results[2];
     for (int i = 0; i < 2; ++i) {
         sched::Corpus corpus;
-        results[i] = fuzz_service(cfg, opts, corpus);
+        results[i] = sched::fuzz_explore(ServiceSubject(cfg), opts, corpus);
         for (std::size_t e = 0; e < corpus.size(); ++e) {
             schedules[i].push_back(corpus.entry(e).schedule);
         }
