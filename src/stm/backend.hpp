@@ -120,6 +120,10 @@ public:
     [[nodiscard]] virtual std::string describe() const { return ""; }
 };
 
+/// Blocks a tagless-table transaction publishes for conflict classification
+/// without a lock; the rest spill into a mutex-guarded set.
+inline constexpr std::uint32_t kTaglessInlineBlocks = 64;
+
 // Every factory receives the runtime's reclamation domain. The concrete
 // engines ignore it (the attempt loop applies TxMemLogs centrally); the
 // adaptive wrapper drains it before retiring a swapped-out engine.

@@ -18,11 +18,18 @@
 //     per acquire, no lock on the acquire or release path (paper §2.1's
 //     appeal to implementers). A failed acquire is classified by looking
 //     the block up in the conflicting slots' footprints (true: one of them
-//     holds this very block; false: only an alias). Under the sched harness
-//     one virtual thread runs at a time and acquire plus footprint insert
-//     are one step, so the split is exact; on real threads a conflicting
-//     transaction may finish between the failed CAS and the lookup, so it
-//     is best-effort.
+//     holds this very block; false: only an alias). A footprint has one
+//     writer, its slot's transaction, which publishes a block once, when it
+//     first acquires it (a read-to-write upgrade publishes nothing): a
+//     relaxed store into the next cell of a fixed inline array, then a
+//     release store of the count. A classifier acquire-loads the count and
+//     scans that prefix. Blocks past the array (kTaglessInlineBlocks) spill
+//     into a mutex-guarded set, so a transaction holding at most that many
+//     blocks takes no lock: an acquire is the entry CAS alone.
+//     Under the sched harness one virtual thread runs at a time and acquire
+//     plus publish are one step, so the split is exact; on real threads a
+//     conflicting transaction may finish, or start another, between the
+//     failed CAS and the lookup, so it is best-effort.
 //   * tagged — ownership::TaggedTable, a single-threaded structure behind
 //     one mutex. A tagged conflict is on the same block by construction,
 //     so it is always a true conflict.
@@ -32,12 +39,13 @@
 // tagged for tagless, so the whole family hands out one TxId range.
 //
 // Per-transaction state is allocation-free (stm/txlocal.hpp): the block →
-// mode map and the per-slot footprints are SmallMap/SmallSet (inline
-// storage, O(1) epoch clear), and the undo/redo logs keep their capacity
-// across retries and transactions. A steady-state transaction run through
-// an Executor performs zero heap allocations.
+// mode map is a SmallMap (inline storage, O(1) epoch clear), a tagless
+// footprint is a fixed array (its spill set a SmallSet), and the undo/redo
+// logs keep their capacity across retries and transactions. A steady-state
+// transaction run through an Executor performs zero heap allocations.
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <mutex>
 #include <vector>
@@ -69,7 +77,8 @@ using BlockModes = SmallMap<std::uint64_t, Mode>;
 }
 
 /// Tagless organization: the lock-free table plus, per slot, the blocks the
-/// slot's transaction holds (padded so slots do not share a cache line).
+/// slot's transaction holds (padded so slots do not share a cache line; see
+/// the file header for how they are published).
 class TaglessOwnership {
 public:
     explicit TaglessOwnership(const ownership::TableConfig& shape)
@@ -77,13 +86,21 @@ public:
 
     [[nodiscard]] AcquireResult acquire(TxId slot, std::uint64_t block,
                                         Mode mode) {
-        const AcquireResult r = acquire_in(table_, slot, block, mode);
-        if (r.ok) {
-            Footprint& fp = footprints_[slot];
-            const std::lock_guard<std::mutex> guard(fp.mutex);
-            fp.blocks.insert(block);
+        return acquire_in(table_, slot, block, mode);
+    }
+
+    /// Adds `block` to `slot`'s footprint. Only the slot's transaction
+    /// calls this, once per block it newly holds.
+    void publish(TxId slot, std::uint64_t block) {
+        Footprint& fp = footprints_[slot];
+        const std::uint32_t n = fp.count.load(std::memory_order_relaxed);
+        if (n < kTaglessInlineBlocks) {
+            fp.blocks[n].store(block, std::memory_order_relaxed);
+            fp.count.store(n + 1, std::memory_order_release);
+            return;
         }
-        return r;
+        const std::lock_guard<std::mutex> guard(fp.mutex);
+        fp.spill.insert(block);
     }
 
     /// True iff one of the `conflicting` slots holds `block` itself.
@@ -93,9 +110,7 @@ public:
             const auto slot =
                 static_cast<std::uint32_t>(std::countr_zero(conflicting));
             conflicting &= conflicting - 1;
-            Footprint& fp = footprints_[slot];
-            const std::lock_guard<std::mutex> guard(fp.mutex);
-            if (fp.blocks.contains(block)) return true;
+            if (footprints_[slot].contains(block)) return true;
         }
         return false;
     }
@@ -105,8 +120,12 @@ public:
             table_.release(slot, block, mode);
         });
         Footprint& fp = footprints_[slot];
-        const std::lock_guard<std::mutex> guard(fp.mutex);
-        fp.blocks.clear();
+        // The owner is the spill's only writer, so it may test it unlocked.
+        if (!fp.spill.empty()) {
+            const std::lock_guard<std::mutex> guard(fp.mutex);
+            fp.spill.clear();
+        }
+        fp.count.store(0, std::memory_order_relaxed);
     }
 
     [[nodiscard]] std::uint64_t occupied_entries() const noexcept {
@@ -115,8 +134,22 @@ public:
 
 private:
     struct alignas(64) Footprint {
-        std::mutex mutex;
-        SmallSet<std::uint64_t> blocks;
+        std::atomic<std::uint32_t> count{0};
+        std::array<std::atomic<std::uint64_t>, kTaglessInlineBlocks> blocks;
+        std::mutex mutex;  ///< guards spill
+        SmallSet<std::uint64_t> spill;
+
+        [[nodiscard]] bool contains(std::uint64_t block) {
+            const std::uint32_t n = count.load(std::memory_order_acquire);
+            for (std::uint32_t i = 0; i < n; ++i) {
+                if (blocks[i].load(std::memory_order_relaxed) == block) {
+                    return true;
+                }
+            }
+            if (n < kTaglessInlineBlocks) return false;
+            const std::lock_guard<std::mutex> guard(mutex);
+            return spill.contains(block);
+        }
     };
 
     ownership::AtomicTaglessTable table_;
@@ -135,7 +168,10 @@ public:
         return acquire_in(table_, slot, block, mode);
     }
 
-    /// Tags make every conflict one on the block itself.
+    /// Tags make every conflict one on the block itself, so there is no
+    /// footprint to publish to.
+    static void publish(TxId /*slot*/, std::uint64_t /*block*/) {}
+
     [[nodiscard]] static bool same_block(std::uint64_t /*block*/,
                                          std::uint64_t /*conflicting*/) {
         return true;
@@ -302,7 +338,9 @@ private:
                                Mode mode) {
         const AcquireResult r = ownership_.acquire(cx.slot_, block, mode);
         if (r.ok) {
-            cx.held_.put(block, mode);
+            if (cx.held_.put(block, mode)) {
+                ownership_.publish(cx.slot_, block);
+            }
             return true;
         }
         if (test_faults().ignore_acquire_conflicts.load(

@@ -160,8 +160,9 @@ public:
 };
 
 /// One per-context epoch pin. state == 0 when idle; (epoch << 1) | 1 while
-/// an attempt is in flight.
-struct ReclaimSlot {
+/// an attempt is in flight. Every attempt stores to its pin twice, so each
+/// pin has a cache line to itself.
+struct alignas(64) ReclaimSlot {
     std::atomic<std::uint64_t> state{0};
 };
 

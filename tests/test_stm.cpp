@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "stm/backend.hpp"
+#include "stm/sched_hook.hpp"
 #include "stm/stm.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace tmb::stm {
@@ -386,6 +391,130 @@ TEST(StmTagless, FalseConflictRateExceedsTagged) {
     EXPECT_GE(tagless.false_conflicts, tagged.false_conflicts);
     EXPECT_EQ(tagless.true_conflicts, 0u);
     EXPECT_EQ(tagged.true_conflicts, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Tagless classification past the footprint's inline array
+// ---------------------------------------------------------------------------
+
+/// Runs `fn` at the `nth` commit-time lock acquisition of the installing
+/// thread (lazy table engine), with the hook uninstalled meanwhile so the
+/// transactions `fn` runs are not intercepted.
+class AtLazyCommitLock final : public detail::SchedulerHook {
+public:
+    AtLazyCommitLock(int nth, std::function<void()> fn)
+        : nth_(nth), fn_(std::move(fn)) {}
+
+    void yield(detail::YieldPoint /*point*/, detail::YieldSite site) override {
+        if (site != detail::YieldSite::kTableLazyCommit || ++seen_ != nth_) {
+            return;
+        }
+        detail::SchedulerHook* self = detail::install_scheduler_hook(nullptr);
+        fn_();
+        detail::install_scheduler_hook(self);
+    }
+
+private:
+    int nth_;
+    int seen_ = 0;
+    std::function<void()> fn_;
+};
+
+class TaglessFootprint : public ::testing::TestWithParam<bool> {};
+
+INSTANTIATE_TEST_SUITE_P(Disciplines, TaglessFootprint, ::testing::Bool(),
+                         [](const auto& info) {
+                             return info.param ? "Lazy" : "Eager";
+                         });
+
+TEST_P(TaglessFootprint, ClassifiesBlocksPastTheInlineArray) {
+    // A holder parks mid-transaction holding more blocks than a footprint
+    // publishes lock-free; a second executor, run on the same thread with
+    // one attempt, then conflicts with it. Shift-mask hashing makes block
+    // i + kEntries an alias of block i, and blocks below kEntries distinct.
+    const bool lazy = GetParam();
+    constexpr std::uint64_t kEntries = 256;
+    constexpr std::size_t kInline = detail::kTaglessInlineBlocks;
+    constexpr std::size_t kHeld = kInline + 16;  // blocks [0, kHeld) read
+    constexpr std::size_t kSpilled = kInline + 4;
+    constexpr std::size_t kUpgradedSpilled = kInline + 8;
+    static_assert(kHeld < kEntries);
+
+    StmConfig cfg;
+    cfg.backend = BackendKind::kTaglessTable;
+    cfg.commit_time_locks = lazy;
+    cfg.table.entries = kEntries;
+    cfg.table.hash = util::HashKind::kShiftMask;
+    cfg.max_attempts = 1;
+    cfg.contention.policy = ContentionPolicy::kNone;
+    Stm tm(cfg);
+    struct alignas(64) Block {
+        std::uint64_t word = 0;
+    };
+    std::vector<Block> blocks(2 * kEntries);
+    const auto holder = tm.make_executor();
+    const auto contender = tm.make_executor();
+
+    // One single-attempt conflicting access: "true", "false" or "none".
+    const auto classify = [&](std::size_t index, bool write) -> std::string {
+        auto access = [&](Transaction& tx) {
+            std::uint64_t* word = &blocks[index].word;
+            if (write) {
+                tx.store(word, 1);
+            } else {
+                (void)tx.load(word);
+            }
+        };
+        const StmStats before = tm.stats();
+        EXPECT_THROW(contender->atomically(access), TooMuchContention);
+        const StmStats after = tm.stats();
+        if (after.true_conflicts == before.true_conflicts + 1 &&
+            after.false_conflicts == before.false_conflicts) {
+            return "true";
+        }
+        if (after.false_conflicts == before.false_conflicts + 1 &&
+            after.true_conflicts == before.true_conflicts) {
+            return "false";
+        }
+        return "none";
+    };
+    int probed = 0;
+    const auto probe = [&] {
+        ++probed;
+        EXPECT_EQ(classify(kSpilled, true), "true")
+            << "a block acquired after the inline array filled";
+        EXPECT_EQ(classify(1 + kEntries, true), "false")
+            << "an alias of an inline block";
+        EXPECT_EQ(classify(kSpilled + kEntries, true), "false")
+            << "an alias of a spilled block";
+        EXPECT_EQ(classify(0, false), "true")
+            << "an inline block the holder read and then wrote";
+        EXPECT_EQ(classify(kUpgradedSpilled, false), "true")
+            << "a spilled block the holder read and then wrote";
+    };
+
+    // Lazy writes acquire in first-write order at commit, so the third
+    // commit-time lock comes after both upgrades.
+    AtLazyCommitLock at_third_lock(3, probe);
+    struct Uninstall {
+        ~Uninstall() { detail::install_scheduler_hook(nullptr); }
+    } uninstall;
+    if (lazy) detail::install_scheduler_hook(&at_third_lock);
+    holder->atomically([&](Transaction& tx) {
+        for (std::size_t i = 0; i < kHeld; ++i) (void)tx.load(&blocks[i].word);
+        tx.store(&blocks[0].word, 2);
+        tx.store(&blocks[kUpgradedSpilled].word, 2);
+        if (lazy) {
+            tx.store(&blocks[kHeld].word, 2);
+        } else {
+            probe();
+        }
+    });
+
+    EXPECT_EQ(probed, 1);
+    EXPECT_EQ(holder->stats().commits, 1u);
+    EXPECT_EQ(blocks[0].word, 2u);
+    EXPECT_EQ(tm.occupied_metadata_entries(), 0u);
 }
 
 TEST(StmRuntime, ToStringNames) {
