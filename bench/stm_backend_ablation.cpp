@@ -6,10 +6,13 @@
 // conflicts), while the tagged backend holds steady. TL2 is the classic
 // word-STM baseline.
 //
-// Backends are constructed *by name* through the config registry
-// (stm::Stm::create), and the contended-workload benchmarks are registered
-// dynamically for every organization the registry knows — registering a new
-// organization automatically adds it to this ablation.
+// Backends are constructed *by name* (stm::Stm::create), and the
+// contended-workload benchmarks are registered dynamically for every
+// ownership-table organization the STM engine can mount.
+//
+// Every row runs Stm::atomically, which borrows a pooled context per call
+// and allocates nothing in the steady state, so the rows compare the
+// organizations' metadata paths rather than context construction.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -125,7 +128,7 @@ BENCHMARK(BM_Adaptive_DisjointThreads)
 
 /// Single-thread transaction overhead: the raw cost of the metadata
 /// organization with no contention at all. `spec` selects the backend by
-/// registry name; the lazy variants isolate commit-time locking cost.
+/// name; the lazy variants isolate commit-time locking cost.
 void run_single_thread(benchmark::State& state, const std::string& spec) {
     const auto tm_owner = make_tm(spec);
     Stm& tm = *tm_owner;

@@ -16,7 +16,6 @@
 //     harness maps to Event::kAbort — so PCT schedules demote it and the
 //     in-flight holder it is waiting for eventually runs (no priority
 //     livelock).
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -35,24 +34,6 @@ namespace tmb::stm::detail {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/// Builds the concrete engine for an epoch. Direct factory dispatch (not
-/// the registry) keeps construction allocation-minimal and cannot recurse
-/// into the adaptive entry.
-[[nodiscard]] std::unique_ptr<Backend> build_engine(const StmConfig& cfg,
-                                                    SharedStats& stats,
-                                                    ReclaimDomain& reclaim) {
-    switch (cfg.backend) {
-        case BackendKind::kTl2: return make_tl2_backend(cfg, stats, reclaim);
-        case BackendKind::kTaglessTable:
-        case BackendKind::kTaggedTable:
-            return make_table_backend(cfg, stats, reclaim);
-        case BackendKind::kAdaptive: break;
-    }
-    throw std::logic_error("adaptive: inner engine must be concrete");
-}
-
 /// One generation of the wrapped engine plus its epoch counters. Contexts
 /// keep their generation alive via shared_ptr, so transactions that bound
 /// before a swap finish (and their contexts release engine slots) against
@@ -69,50 +50,55 @@ struct EngineEpoch {
     std::uint64_t base_true = 0;
     std::uint64_t base_false = 0;
     std::uint64_t base_clock_cas = 0;
-    Clock::time_point started = Clock::now();
 };
 
 class AdaptiveBackend;
 
 /// Context wrapper: the inner context plus the epoch it is bound to.
 /// Member order matters — inner_ must be destroyed (releasing its engine
-/// slot) before epoch_ drops the engine itself.
+/// slot) before epoch_ drops the engine itself. An unparked context counts
+/// toward the policy's concurrency C; park/unpark forward to the inner
+/// context, so the inner TxId is taken in unpark, before begin takes an
+/// in-flight ticket.
 class AdaptCx final : public TxContext {
 public:
-    explicit AdaptCx(AdaptiveBackend& owner) : owner_(owner) {}
+    explicit AdaptCx(AdaptiveBackend& owner);
     ~AdaptCx() override;
 
-    void flush_stats() noexcept override {
-        if (inner_) inner_->flush_stats();
-    }
+    void park() noexcept override;
+    void unpark() override;
 
     AdaptiveBackend& owner_;
     std::shared_ptr<EngineEpoch> epoch_;
     std::unique_ptr<TxContext> inner_;
     std::uint64_t epoch_seq_ = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t attempt_accesses_ = 0;
+    bool parked_ = false;
 };
 
 class AdaptiveBackend final : public Backend {
 public:
-    AdaptiveBackend(const StmConfig& config, SharedStats& stats,
+    AdaptiveBackend(const StmConfig& config, Instrumentation& stats,
                     ReclaimDomain& reclaim)
         : outer_(config),
           policy_(adapt::policy_config_from(config.adapt)),
           stats_(stats),
           reclaim_(reclaim) {
+        if (config.adapt.engine == BackendKind::kAdaptive) {
+            throw std::invalid_argument(
+                "adaptive: inner engine must be concrete");
+        }
         initial_ = config;
         initial_.backend = config.adapt.engine;
         auto first = std::make_shared<EngineEpoch>();
         first->cfg = initial_;
-        first->engine = build_engine(initial_, stats_, reclaim_);
+        first->engine = make_backend(initial_, stats_, reclaim_);
         capacity_ = first->engine->max_live_contexts();
         epoch_ = std::move(first);
         published_seq_.store(0, std::memory_order_release);
     }
 
     std::unique_ptr<TxContext> make_context() override {
-        live_contexts_.fetch_add(1, std::memory_order_relaxed);
         // Unbound: the inner context (and for table engines its TxId slot)
         // is acquired at first begin, against whatever epoch is then live.
         return std::make_unique<AdaptCx>(*this);
@@ -165,7 +151,7 @@ public:
         in_flight_.fetch_sub(1, std::memory_order_seq_cst);
         // Boundary check after the in-flight release: staging only sets a
         // flag, so this path never blocks and never yields.
-        if ((ok && at_epoch_boundary(ep, epoch_commits)) ||
+        if ((ok && at_epoch_boundary(epoch_commits)) ||
             (!ok && at_abort_boundary(epoch_aborts))) {
             maybe_stage_switch(ep);
         }
@@ -203,23 +189,13 @@ public:
                " epoch=" + std::to_string(ep->seq) + ")";
     }
 
-    void context_retired() noexcept {
-        live_contexts_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    /// Unparked contexts, the model's C.
+    std::atomic<std::uint32_t> live_contexts_{0};
 
 private:
-    [[nodiscard]] bool at_epoch_boundary(const EngineEpoch& ep,
-                                         std::uint64_t epoch_commits) const {
+    [[nodiscard]] bool at_epoch_boundary(std::uint64_t epoch_commits) const {
         if (policy_.kind == adapt::PolicyConfig::Kind::kOff) return false;
-        if (epoch_commits % policy_.epoch_commits == 0) return true;
-        // Wall-clock bound, checked sparsely to keep now() off the hot
-        // path. Off by default (epoch_ms=0): a time trigger would make
-        // scheduled runs irreproducible.
-        if (policy_.epoch_ms != 0 && epoch_commits % 64 == 0) {
-            return Clock::now() - ep.started >=
-                   std::chrono::milliseconds(policy_.epoch_ms);
-        }
-        return false;
+        return epoch_commits % policy_.epoch_commits == 0;
     }
 
     /// Abort-side epoch boundary. Epochs normally advance on commits, but a
@@ -255,8 +231,7 @@ private:
             stats_.clock_cas_failures.load(std::memory_order_relaxed) -
             ep.base_clock_cas;
         const std::uint32_t live =
-            static_cast<std::uint32_t>(live_contexts_.load(
-                std::memory_order_relaxed));
+            live_contexts_.load(std::memory_order_relaxed);
         sample.concurrency = live ? live : 1;
         auto next = adapt::decide(policy_, ep.cfg, initial_, sample);
         if (!next) {
@@ -268,7 +243,6 @@ private:
             ep.base_true += sample.true_conflicts;
             ep.base_false += sample.false_conflicts;
             ep.base_clock_cas += sample.clock_cas_failures;
-            ep.started = Clock::now();
             return;
         }
         pending_cfg_ = *next;
@@ -352,7 +326,7 @@ private:
         auto next = std::make_shared<EngineEpoch>();
         next->seq = old.seq + 1;
         next->cfg = pending_cfg_;
-        next->engine = build_engine(pending_cfg_, stats_, reclaim_);
+        next->engine = make_backend(pending_cfg_, stats_, reclaim_);
         next->base_true = stats_.true_conflicts.load(std::memory_order_relaxed);
         next->base_false =
             stats_.false_conflicts.load(std::memory_order_relaxed);
@@ -370,7 +344,7 @@ private:
     StmConfig outer_;
     StmConfig initial_;  ///< concrete home shape (outer_ with adapt.engine)
     adapt::PolicyConfig policy_;
-    SharedStats& stats_;
+    Instrumentation& stats_;
     ReclaimDomain& reclaim_;
     std::uint32_t capacity_ = 0;
 
@@ -380,17 +354,32 @@ private:
     std::atomic<std::uint64_t> published_seq_{0};
     std::atomic<bool> pending_{false};
     std::atomic<std::uint64_t> in_flight_{0};
-    std::atomic<std::uint64_t> live_contexts_{0};
 };
 
+AdaptCx::AdaptCx(AdaptiveBackend& owner) : owner_(owner) {
+    owner_.live_contexts_.fetch_add(1, std::memory_order_relaxed);
+}
+
 AdaptCx::~AdaptCx() {
-    owner_.context_retired();
+    if (!parked_) owner_.live_contexts_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void AdaptCx::park() noexcept {
+    if (inner_) inner_->park();
+    parked_ = true;
+    owner_.live_contexts_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void AdaptCx::unpark() {
+    owner_.live_contexts_.fetch_add(1, std::memory_order_relaxed);
+    parked_ = false;
+    if (inner_) inner_->unpark();
 }
 
 }  // namespace
 
 std::unique_ptr<Backend> make_adaptive_backend(const StmConfig& config,
-                                               SharedStats& stats,
+                                               Instrumentation& stats,
                                                ReclaimDomain& reclaim) {
     return std::make_unique<AdaptiveBackend>(config, stats, reclaim);
 }

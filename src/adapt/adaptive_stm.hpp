@@ -1,7 +1,7 @@
 // adaptive_stm.hpp — public face of the contention-adaptive runtime.
 //
-// The machinery lives behind `backend=adaptive` in the ordinary backend
-// registry, so most callers never include this header:
+// The machinery lives behind `backend=adaptive`, built by the same engine
+// factory as every other backend, so most callers never include this header:
 //
 //   auto tm = stm::Stm::create(config::Config::from_string(
 //       "backend=adaptive engine=table table=tagless entries=1024 "
@@ -14,10 +14,9 @@
 // Epoch protocol (implemented in adaptive_stm.cpp):
 //
 //   1. Every committed transaction advances the current epoch's counters.
-//      At an epoch boundary (N commits, or M ms when epoch_ms is set) the
-//      policy (adapt/policy.hpp) examines the epoch sample; a switch
-//      decision is *staged* — published as a pending config, never applied
-//      in the commit path.
+//      Every N commits (an epoch boundary) the policy (adapt/policy.hpp)
+//      examines the epoch sample; a switch decision is *staged* —
+//      published as a pending config, never applied in the commit path.
 //   2. A beginning transaction that sees a pending switch stands back
 //      (yielding) instead of entering the engine; when the last in-flight
 //      transaction drains, one beginner performs the swap: asserts the old
@@ -45,8 +44,8 @@ namespace tmb::adapt {
 class AdaptiveStm {
 public:
     /// Builds from the usual key set (stm_config_from) with backend forced
-    /// to adaptive; `engine=`, `policy=`, `epoch=`, `epoch_ms=`,
-    /// `max_entries=` select the wrapped engine and policy.
+    /// to adaptive; `engine=`, `policy=`, `epoch=`, `max_entries=` select
+    /// the wrapped engine and policy.
     explicit AdaptiveStm(const config::Config& cfg);
 
     /// Runs `fn` transactionally on the currently mounted engine.

@@ -128,7 +128,6 @@ PolicyConfig policy_config_from(const stm::AdaptConfig& cfg) {
                                     "' (known: off, auto, cycle)");
     }
     out.epoch_commits = cfg.epoch_commits ? cfg.epoch_commits : 1;
-    out.epoch_ms = cfg.epoch_ms;
     out.max_entries = std::bit_floor(cfg.max_entries ? cfg.max_entries
                                                      : std::uint64_t{1} << 22);
     return out;

@@ -35,7 +35,6 @@ struct PolicyConfig {
     enum class Kind { kOff, kAuto, kCycle };
     Kind kind = Kind::kAuto;
     std::uint64_t epoch_commits = 4096;
-    std::uint32_t epoch_ms = 0;
     std::uint64_t max_entries = std::uint64_t{1} << 22;
 
     /// Auto thresholds. An epoch with fewer than min_commits *attempts*

@@ -11,7 +11,7 @@
 //
 // Components are then constructed *by name* through `Registry<T>`
 // (registry.hpp): `ownership::make_table(cfg)` reads `table=`,
-// `stm::Stm::create(cfg)` reads `backend=`, and so on. Adding a new
+// `exec::make_workload(cfg)` reads `workload=`, and so on. Adding a new
 // organization means registering one factory — no call site changes.
 #pragma once
 

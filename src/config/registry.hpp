@@ -2,11 +2,11 @@
 // component.
 //
 // One `Registry<T, Args...>` instance exists per interface type: factories
-// are registered under a short name ("tagless", "tl2", ...) and resolved at
-// runtime from a `Config`, so the whole stack — ownership tables, STM
-// backends, simulators — is selected by `--table=` / `--backend=` flags
-// without recompilation (the config-driven component-factory style of
-// hardware simulators like HybridSim).
+// are registered under a short name ("tagless", "zipf", ...) and resolved at
+// runtime from a `Config`, so ownership tables, workloads, schedules and
+// trace sources are selected by `--table=` / `--workload=` / `--sched=` /
+// `--source=` flags without recompilation (the config-driven
+// component-factory style of hardware simulators like HybridSim).
 //
 // Built-in factories are registered eagerly by each layer's factory
 // function (e.g. ownership::make_table bootstraps the table registry on
@@ -32,8 +32,8 @@
 namespace tmb::config {
 
 /// Factory registry for interface `T`. `Args...` are extra construction
-/// parameters threaded through `create` (e.g. the STM backend registry
-/// passes the parsed StmConfig and the shared instrumentation block).
+/// parameters threaded through `create` (e.g. the schedule registry passes
+/// the run's seed).
 template <typename T, typename... Args>
 class Registry {
 public:

@@ -143,29 +143,17 @@ ParallelResult ParallelRunner::run() {
     executors.clear();
 
     // Merge: shards carry the engine threads' commit/abort counts; the
-    // backend's true/false-conflict classification and the allocator's
-    // domain-wide counters land in the instance block, so fold in this
-    // run's delta of them.
+    // backend's conflict classification, the TL2 counters the contexts
+    // folded in as they retired, and the allocator's domain-wide counters
+    // land in the instance block, so fold in this run's delta of every
+    // counter there.
     for (const stm::StmStats& shard : result.per_thread) {
         result.stats.merge(shard);
     }
     const stm::StmStats after = stm_->stats();
-    result.stats.true_conflicts += after.true_conflicts - before.true_conflicts;
-    result.stats.false_conflicts +=
-        after.false_conflicts - before.false_conflicts;
-    result.stats.clock_cas_failures +=
-        after.clock_cas_failures - before.clock_cas_failures;
-    result.stats.policy_switches +=
-        after.policy_switches - before.policy_switches;
-    result.stats.table_resizes += after.table_resizes - before.table_resizes;
-    result.stats.alloc_cache_hits +=
-        after.alloc_cache_hits - before.alloc_cache_hits;
-    result.stats.alloc_cache_misses +=
-        after.alloc_cache_misses - before.alloc_cache_misses;
-    result.stats.reclaim_shard_flushes +=
-        after.reclaim_shard_flushes - before.reclaim_shard_flushes;
-    result.stats.domain_mutex_acquires +=
-        after.domain_mutex_acquires - before.domain_mutex_acquires;
+    for (const auto field : stm::StmStats::counters()) {
+        result.stats.*field += after.*field - before.*field;
+    }
 
     lifetime_ops_ += result.ops;
     lifetime_stats_.merge(result.stats);

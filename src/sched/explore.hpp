@@ -33,7 +33,7 @@ struct StmSpec {
     std::uint64_t entries = 16;     ///< ownership-table slots (small ⇒ aliasing)
     bool commit_time_locks = false;
     std::string clock;              ///< tl2 clock scheme (gv1|gv5; "" = engine default)
-    // --- adaptive backend only (epoch_ms stays 0: determinism) ---
+    // --- adaptive backend only ---
     std::string engine;             ///< wrapped engine ("" = engine default)
     std::string policy;             ///< off | auto | cycle ("" = engine default)
     std::uint64_t epoch = 0;        ///< commits per epoch (0 = engine default)

@@ -2,9 +2,10 @@
 //
 // A backend owns the conflict-detection metadata (ownership table or
 // versioned locks) and implements the transactional load/store/commit
-// protocol. One TxContext per in-flight atomically() call carries the
-// per-transaction logs; contexts are backend-specific and reused across
-// retries of the same transaction.
+// protocol. A TxContext carries one transaction's logs; contexts are
+// backend-specific and reused across retries and transactions. An Executor
+// holds one for life; Stm::atomically draws one from a pool per call,
+// unparking it on the way out of the pool and parking it on the way back.
 //
 // Protocol per attempt:
 //   begin(cx) → { load/store }* → commit(cx) → true
@@ -25,22 +26,21 @@
 
 namespace tmb::stm::detail {
 
-/// Legacy name for the unified instrumentation block (instrumentation.hpp);
-/// one set of counters per Stm instance, shared by backend and runtime.
-using SharedStats = Instrumentation;
-
 /// Per-transaction state; concrete type owned by the backend.
 class TxContext {
 public:
     virtual ~TxContext();
 
-    /// Folds any statistics accumulated locally in this context into the
-    /// backend's shared Instrumentation block. Hot paths accumulate plain
-    /// per-context counters and the runtime flushes when a context retires
-    /// (Executor destruction, context-pool return), so per-access and
-    /// per-commit paths never touch a shared counter. Counters routed this
-    /// way are exact at quiescent points.
-    virtual void flush_stats() noexcept {}
+    /// A parked context sits in Stm::atomically's pool between calls and
+    /// holds nothing shared: park() folds locally accumulated counters into
+    /// the backend's Instrumentation block (hot paths never touch a shared
+    /// counter, so such counters are exact at quiescent points) and gives
+    /// back engine resources such as a table's TxId; unpark() takes them
+    /// again and may wait for a free TxId. A context starts unparked, and
+    /// the runtime never parks an Executor's, so an Executor keeps its TxId
+    /// for life.
+    virtual void park() noexcept {}
+    virtual void unpark() {}
 
     /// Binds this context to the runtime's reclamation domain: registers
     /// an epoch pin slot, sizes the free-block cache, assigns a retirement
@@ -76,7 +76,7 @@ class Backend {
 public:
     virtual ~Backend() = default;
 
-    /// Creates a context for one atomically() call (reused across retries).
+    /// Creates an unparked context (reused across retries and calls).
     [[nodiscard]] virtual std::unique_ptr<TxContext> make_context() = 0;
 
     /// Starts (or restarts) an attempt.
@@ -124,17 +124,22 @@ public:
 /// without a lock; the rest spill into a mutex-guarded set.
 inline constexpr std::uint32_t kTaglessInlineBlocks = 64;
 
-// Every factory receives the runtime's reclamation domain. The concrete
-// engines ignore it (the attempt loop applies TxMemLogs centrally); the
-// adaptive wrapper drains it before retiring a swapped-out engine.
+/// The engine StmConfig::backend names, built for one Stm instance (the
+/// adaptive wrapper builds its epochs' engines through this too). Only the
+/// adaptive wrapper uses the reclamation domain: it drains it before
+/// retiring a swapped-out engine.
+[[nodiscard]] std::unique_ptr<Backend> make_backend(const StmConfig& config,
+                                                    Instrumentation& stats,
+                                                    ReclaimDomain& reclaim);
+
+// The engines behind make_backend, one per translation unit.
 [[nodiscard]] std::unique_ptr<Backend> make_tl2_backend(const StmConfig& config,
-                                                        SharedStats& stats,
-                                                        ReclaimDomain& reclaim);
+                                                        Instrumentation& stats);
 [[nodiscard]] std::unique_ptr<Backend> make_table_backend(
-    const StmConfig& config, SharedStats& stats, ReclaimDomain& reclaim);
-/// The epoch-based policy layer (src/adapt/adaptive_stm.cpp); wraps one of
-/// the engines above per StmConfig::adapt.
+    const StmConfig& config, Instrumentation& stats);
+/// The epoch-based policy layer (src/adapt/adaptive_stm.cpp); wraps a
+/// concrete engine per StmConfig::adapt.
 [[nodiscard]] std::unique_ptr<Backend> make_adaptive_backend(
-    const StmConfig& config, SharedStats& stats, ReclaimDomain& reclaim);
+    const StmConfig& config, Instrumentation& stats, ReclaimDomain& reclaim);
 
 }  // namespace tmb::stm::detail

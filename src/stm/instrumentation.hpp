@@ -32,9 +32,9 @@ struct Instrumentation {
     /// plus read-version extension. With the dedup filter in place,
     /// validation work per commit equals the unique-stripe count, not the
     /// load count; tests assert exactly that. Backends accumulate these as
-    /// plain counters in the TxContext and flush when the context retires
-    /// (TxContext::flush_stats), so no hot path touches a shared counter;
-    /// exact at quiescent points.
+    /// plain counters in the TxContext and fold them in when the context
+    /// parks or retires (TxContext::park), so no hot path touches a shared
+    /// counter; exact at quiescent points.
     std::atomic<std::uint64_t> tl2_read_set_entries{0};
     std::atomic<std::uint64_t> tl2_validation_checks{0};
     /// TL2 only: failed CAS iterations while advancing the global version

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
-#include "config/registry.hpp"
 #include "stm/backend.hpp"
 #include "stm/contention.hpp"
 #include "stm/sched_hook.hpp"
@@ -16,45 +14,6 @@
 namespace tmb::stm {
 
 namespace {
-
-/// Backend engines are registered by *engine* name — the organization of
-/// the conflict-detection metadata lives in StmConfig (`table` backends
-/// cover both tagless and tagged ownership tables).
-using BackendRegistry =
-    config::Registry<detail::Backend, const StmConfig&, detail::SharedStats&,
-                     detail::ReclaimDomain&>;
-
-BackendRegistry& backend_registry() {
-    static const bool bootstrapped = [] {
-        auto& r = BackendRegistry::instance();
-        r.add_default("tl2", [](const config::Config&, const StmConfig& c,
-                        detail::SharedStats& s, detail::ReclaimDomain& d) {
-            return detail::make_tl2_backend(c, s, d);
-        });
-        r.add_default("table", [](const config::Config&, const StmConfig& c,
-                          detail::SharedStats& s, detail::ReclaimDomain& d) {
-            return detail::make_table_backend(c, s, d);
-        });
-        r.add_default("adaptive", [](const config::Config&, const StmConfig& c,
-                             detail::SharedStats& s, detail::ReclaimDomain& d) {
-            return detail::make_adaptive_backend(c, s, d);
-        });
-        return true;
-    }();
-    (void)bootstrapped;
-    return BackendRegistry::instance();
-}
-
-/// Registry key the built-in kinds resolve to.
-[[nodiscard]] std::string_view registry_key(BackendKind kind) noexcept {
-    switch (kind) {
-        case BackendKind::kTl2: return "tl2";
-        case BackendKind::kTaglessTable:
-        case BackendKind::kTaggedTable: return "table";
-        case BackendKind::kAdaptive: return "adaptive";
-    }
-    return "table";
-}
 
 /// Value-type snapshot of an instrumentation block (instance-wide or an
 /// executor shard).
@@ -114,8 +73,6 @@ BackendKind backend_kind_from_string(std::string_view name) {
         "' (known: tl2, table, tagless, tagged, adaptive)");
 }
 
-std::vector<std::string> backend_names() { return backend_registry().names(); }
-
 std::string_view to_string(Tl2Clock clock) noexcept {
     switch (clock) {
         case Tl2Clock::kGv1: return "gv1";
@@ -170,7 +127,6 @@ StmConfig stm_config_from(const config::Config& cfg) {
         }
         out.adapt.epoch_commits =
             cfg.get_u64("epoch", out.adapt.epoch_commits);
-        out.adapt.epoch_ms = cfg.get_u32("epoch_ms", out.adapt.epoch_ms);
         out.adapt.max_entries =
             cfg.get_u64("max_entries", out.adapt.max_entries);
     } else {
@@ -178,14 +134,12 @@ StmConfig stm_config_from(const config::Config& cfg) {
         (void)cfg.get("engine", "");  // adaptive-only keys; consume strays
         (void)cfg.get("policy", "");
         (void)cfg.get_u64("epoch", 0);
-        (void)cfg.get_u32("epoch_ms", 0);
         (void)cfg.get_u64("max_entries", 0);
     }
     out.table.entries = cfg.get_u64("entries", out.table.entries);
     out.table.hash = util::hash_kind_from_string(
         cfg.get("hash", util::to_string(out.table.hash)));
     out.block_bytes = cfg.get_u32("block_bytes", out.block_bytes);
-    out.tl2_locks = cfg.get_u64("tl2_locks", out.tl2_locks);
     out.tl2_clock = tl2_clock_from_string(
         cfg.get("clock", std::string(to_string(out.tl2_clock))));
     out.commit_time_locks =
@@ -195,10 +149,27 @@ StmConfig stm_config_from(const config::Config& cfg) {
         out.contention.policy = contention_policy_from(*policy);
     }
     out.cache_blocks = cfg.get_u32("cache_blocks", out.cache_blocks);
-    out.cache_bytes = cfg.get_u64("cache_bytes", out.cache_bytes);
     out.reclaim_shards = cfg.get_u32("reclaim_shards", out.reclaim_shards);
     return out;
 }
+
+namespace detail {
+
+std::unique_ptr<Backend> make_backend(const StmConfig& config,
+                                      Instrumentation& stats,
+                                      ReclaimDomain& reclaim) {
+    switch (config.backend) {
+        case BackendKind::kTl2: return make_tl2_backend(config, stats);
+        case BackendKind::kTaglessTable:
+        case BackendKind::kTaggedTable:
+            return make_table_backend(config, stats);
+        case BackendKind::kAdaptive:
+            return make_adaptive_backend(config, stats, reclaim);
+    }
+    throw std::invalid_argument("unknown STM backend kind");
+}
+
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Transaction: thin forwarding layer over the backend.
@@ -229,22 +200,11 @@ public:
             config_.reclaim_shards != 0
                 ? config_.reclaim_shards
                 : std::max(1u, std::thread::hardware_concurrency());
-        reclaim_.configure(config_.cache_blocks, config_.cache_bytes, shards);
-        // All construction funnels through the registry, so an engine
-        // registered at runtime is selectable exactly like the built-ins.
-        backend_ = backend_registry().create(registry_key(config_.backend),
-                                             config::Config{}, config_, stats_,
-                                             reclaim_);
-        // Contexts carry allocation-free tx-local structures (txlocal.hpp)
-        // that are cheap to reuse but not to construct; pool them for the
-        // convenience Stm::atomically path. Only backends without a slot
-        // cap participate: a pooled table-backend context would pin its
-        // TxId slot and could starve Executors of slots.
-        pool_contexts_ = backend_->max_live_contexts() ==
-                         std::numeric_limits<std::uint32_t>::max();
+        reclaim_.configure(config_.cache_blocks, shards);
+        backend_ = detail::make_backend(config_, stats_, reclaim_);
         // Full capacity up front: release_context's push_back must not
         // throw (it runs inside a scope guard, possibly mid-unwind).
-        if (pool_contexts_) context_pool_.reserve(kMaxPooledContexts);
+        context_pool_.reserve(kMaxPooledContexts);
     }
 
     /// Every context handed to the attempt loop is bound to the reclaim
@@ -255,37 +215,39 @@ public:
         return cx;
     }
 
+    /// Contexts carry allocation-free tx-local structures (txlocal.hpp) and
+    /// a reclaim binding that are cheap to reuse but not to build, so
+    /// Stm::atomically draws them from a pool. A pooled context is parked:
+    /// it holds no TxId, so the pool never starves Executors of slots.
     [[nodiscard]] std::unique_ptr<detail::TxContext> acquire_context() {
-        if (pool_contexts_) {
+        std::unique_ptr<detail::TxContext> cx;
+        {
             const std::lock_guard<std::mutex> guard(pool_mutex_);
             if (!context_pool_.empty()) {
-                auto cx = std::move(context_pool_.back());
+                cx = std::move(context_pool_.back());
                 context_pool_.pop_back();
-                return cx;
             }
         }
-        return new_context();
+        // Both may wait for a TxId, so neither runs under the pool mutex.
+        if (!cx) return new_context();
+        cx->unpark();
+        return cx;
     }
 
     void release_context(std::unique_ptr<detail::TxContext> cx) {
-        // A retiring context folds its locally accumulated counters into
-        // the shared block (destruction flushes too; pooling would not),
-        // and parks any buffered retired blocks in their shard so a pooled
-        // context never sits on unreclaimable memory.
-        cx->flush_stats();
+        // Flush buffered retired blocks into their shard so a pooled
+        // context never sits on unreclaimable memory; park() then folds its
+        // counters and gives back its TxId.
         reclaim_.flush_context(*cx);
-        if (pool_contexts_) {
-            const std::lock_guard<std::mutex> guard(pool_mutex_);
-            if (context_pool_.size() < kMaxPooledContexts) {
-                context_pool_.push_back(std::move(cx));
-                return;
-            }
+        cx->park();
+        const std::lock_guard<std::mutex> guard(pool_mutex_);
+        if (context_pool_.size() < kMaxPooledContexts) {
+            context_pool_.push_back(std::move(cx));
         }
-        // Destroyed here (table backends: releases the TxId slot).
     }
 
     StmConfig config_;
-    detail::SharedStats stats_;
+    detail::Instrumentation stats_;
     // Declared before backend_ (and the pool below): contexts unregister
     // their pin slots and the adaptive wrapper drains retired blocks, so
     // the domain must be destroyed after both.
@@ -295,7 +257,6 @@ public:
 
 private:
     static constexpr std::size_t kMaxPooledContexts = 64;
-    bool pool_contexts_ = false;
     std::mutex pool_mutex_;
     std::vector<std::unique_ptr<detail::TxContext>> context_pool_;
 };

@@ -34,6 +34,7 @@
 // isolation makes tagless tables even less tenable).
 #pragma once
 
+#include <array>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
@@ -79,15 +80,10 @@ enum class BackendKind {
 [[nodiscard]] std::string_view to_string(BackendKind kind) noexcept;
 
 /// Inverse of to_string for runtime `--backend=` flags. Accepts the
-/// canonical names plus the registry keys "table" (tagless organization),
+/// canonical names plus the flag spellings "table" (tagless organization),
 /// "tagless", "tagged" and "tl2"; throws std::invalid_argument on anything
 /// else.
 [[nodiscard]] BackendKind backend_kind_from_string(std::string_view name);
-
-/// Backend registry keys, in registration order ("tl2", "table",
-/// "adaptive"). `Stm::create` resolves `backend=` against these; new engines
-/// registered in config::Registry<detail::Backend, ...> appear here too.
-[[nodiscard]] std::vector<std::string> backend_names();
 
 /// TL2 global-version-clock scheme (tl2 backend only).
 ///
@@ -118,11 +114,8 @@ struct AdaptConfig {
     /// cycle (deterministic rotation through the family's shapes — the
     /// test/fuzz mode that forces every transition).
     std::string policy = "auto";
-    /// Re-evaluate after this many commits in the current epoch...
+    /// Re-evaluate after this many commits in the current epoch.
     std::uint64_t epoch_commits = 4096;
-    /// ...or after this many milliseconds (0 = commit-count only; wall
-    /// clock breaks schedule replay, so the sched harness leaves this 0).
-    std::uint32_t epoch_ms = 0;
     /// Growth cap for birthday-model table resizes.
     std::uint64_t max_entries = std::uint64_t{1} << 22;
 };
@@ -136,8 +129,6 @@ struct StmConfig {
     /// Conflict-tracking granularity in bytes (table backends): the paper
     /// uses 64-byte cache blocks. Must be a power of two >= 8.
     std::uint32_t block_bytes = 64;
-    /// Number of versioned locks (TL2 backend). Power of two.
-    std::uint64_t tl2_locks = 1u << 20;
     /// Global-clock scheme (TL2 backend). kGv5 removes the per-commit
     /// fetch_add from uncontended writer commits; see Tl2Clock.
     Tl2Clock tl2_clock = Tl2Clock::kGv5;
@@ -157,9 +148,6 @@ struct StmConfig {
     /// restores the per-commit retire/poll cadence — the differential
     /// baseline for tests.
     std::uint32_t cache_blocks = 64;
-    /// Byte budget across one context's magazines; the cache declines
-    /// blocks beyond it even when a magazine has block slots free.
-    std::uint64_t cache_bytes = std::uint64_t{1} << 18;
     /// Striped retirement shards in the reclamation domain. 0 (default) =
     /// hardware concurrency.
     std::uint32_t reclaim_shards = 0;
@@ -175,7 +163,6 @@ struct StmConfig {
 ///   entries           ownership-table slots (default 65536; accepts "64k")
 ///   hash              shift-mask | multiplicative | mix64
 ///   block_bytes       conflict-tracking granularity (default 64)
-///   tl2_locks         versioned-lock count for tl2 (default 1<<20)
 ///   clock             gv1 | gv5 (TL2 global-clock scheme, default gv5)
 ///   commit_time_locks eager (false, default) vs lazy write locking
 ///   max_attempts      TooMuchContention threshold (default 0 = forever)
@@ -183,7 +170,6 @@ struct StmConfig {
 ///   cache_blocks      free-block cache capacity per size class per context
 ///                     (default 64; 0 = cache off + per-commit reclaim
 ///                     cadence, the differential-test baseline)
-///   cache_bytes       per-context cache byte budget (default 256k)
 ///   reclaim_shards    striped retirement shards (default 0 = hardware
 ///                     concurrency)
 ///
@@ -192,7 +178,6 @@ struct StmConfig {
 ///                default) | tagless | tagged | tl2
 ///   policy       off | auto | cycle (default auto)
 ///   epoch        commits per policy epoch (default 4096)
-///   epoch_ms     wall-clock epoch bound in ms (default 0 = disabled)
 ///   max_entries  table growth cap for birthday-model resizes (default 4m)
 [[nodiscard]] StmConfig stm_config_from(const config::Config& cfg);
 
@@ -211,9 +196,9 @@ struct StmStats {
     /// re-read of a stripe adds nothing) and lock words examined by
     /// commit-time validation / read-version extension. Validation work per
     /// transaction equals the unique-stripe count, not the load count.
-    /// Accumulated per context and flushed when the context retires
-    /// (Executor destruction / end of an Stm::atomically call): exact at
-    /// quiescent points, possibly stale while executors are live.
+    /// Accumulated per context and folded in when the context parks (end
+    /// of an Stm::atomically call) or retires (Executor destruction): exact
+    /// at quiescent points, possibly stale while executors are live.
     std::uint64_t tl2_read_set_entries = 0;
     std::uint64_t tl2_validation_checks = 0;
     /// TL2 only: failed CAS iterations advancing the global version clock
@@ -251,24 +236,27 @@ struct StmStats {
                         : 0.0;
     }
 
+    /// Every counter field above, for code that sums or diffs snapshots
+    /// field by field; a new counter goes here too.
+    static constexpr auto counters() noexcept {
+        return std::array{
+            &StmStats::commits,          &StmStats::aborts,
+            &StmStats::explicit_retries, &StmStats::true_conflicts,
+            &StmStats::false_conflicts,  &StmStats::tl2_read_set_entries,
+            &StmStats::tl2_validation_checks,
+            &StmStats::clock_cas_failures,
+            &StmStats::policy_switches,  &StmStats::table_resizes,
+            &StmStats::alloc_cache_hits, &StmStats::alloc_cache_misses,
+            &StmStats::reclaim_shard_flushes,
+            &StmStats::domain_mutex_acquires,
+        };
+    }
+
     /// Accumulates `other` into this snapshot (counters sum, histograms
     /// merge). The execution engine uses this to fold per-thread Executor
     /// shards into one engine-wide StmStats at join time.
     void merge(const StmStats& other) {
-        commits += other.commits;
-        aborts += other.aborts;
-        explicit_retries += other.explicit_retries;
-        true_conflicts += other.true_conflicts;
-        false_conflicts += other.false_conflicts;
-        tl2_read_set_entries += other.tl2_read_set_entries;
-        tl2_validation_checks += other.tl2_validation_checks;
-        clock_cas_failures += other.clock_cas_failures;
-        policy_switches += other.policy_switches;
-        table_resizes += other.table_resizes;
-        alloc_cache_hits += other.alloc_cache_hits;
-        alloc_cache_misses += other.alloc_cache_misses;
-        reclaim_shard_flushes += other.reclaim_shard_flushes;
-        domain_mutex_acquires += other.domain_mutex_acquires;
+        for (const auto field : counters()) this->*field += other.*field;
         attempts_per_commit.merge(other.attempts_per_commit);
     }
 };
@@ -502,19 +490,18 @@ public:
     explicit Stm(StmConfig config);
     ~Stm();
 
-    /// Constructs a runtime whose backend is selected *by name* through the
-    /// process-wide backend registry — the string-keyed path every bench,
-    /// example and tool uses:
+    /// Constructs a runtime from string keys (stm_config_from) — the path
+    /// every bench, example and tool uses:
     ///
     ///   auto tm = Stm::create(config::Config::from_string(
     ///       "backend=table table=tagless entries=16384"));
     ///
-    /// Note: the table engine is compiled against the built-in
-    /// organizations, so `table=` must name tagless or tagged here (the
-    /// STM's tagless engine already runs on the lock-free table, so the
-    /// simulators' atomic_tagless is rejected); organizations registered at
-    /// runtime in the AnyTable registry are available to the simulators and
-    /// the hybrid TM, not (yet) to the STM engine.
+    /// `backend=` and `table=` map onto the closed BackendKind set, so
+    /// `table=` must name tagless or tagged here (the STM's tagless engine
+    /// already runs on the lock-free table, so the simulators'
+    /// atomic_tagless is rejected); organizations registered at runtime in
+    /// the AnyTable registry are available to the simulators and the hybrid
+    /// TM, not to the STM engine.
     [[nodiscard]] static std::unique_ptr<Stm> create(const config::Config& cfg);
 
     Stm(const Stm&) = delete;
@@ -524,10 +511,11 @@ public:
     /// conflict with contention-managed backoff. Returns fn's result.
     /// `fn` must be safe to re-execute (no irrevocable side effects).
     ///
-    /// This convenience path allocates a fresh backend context (for table
-    /// backends: acquires a transaction slot) per call and records into the
-    /// instance-wide counters; threads on a hot path should hold an
-    /// Executor instead.
+    /// Each call borrows a context from the instance's pool (for table
+    /// backends it takes a transaction slot for the call's duration and
+    /// gives it back after), so the steady state allocates nothing. It
+    /// records into the instance-wide counters; an Executor skips the pool
+    /// and keeps its counters in a private shard.
     template <typename F>
         requires std::invocable<F&, Transaction&>
     decltype(auto) atomically(F&& fn) {
@@ -596,8 +584,10 @@ private:
 /// execution engine (exec::ParallelRunner binds one to each of its
 /// threads). Compared to Stm::atomically it
 ///
-///   * reuses one backend context across calls, so a table-backend slot
-///     (TxId) is acquired once per thread instead of once per transaction,
+///   * keeps one backend context for life, so a table-backend slot (TxId)
+///     is acquired once per thread instead of once per call (pooled
+///     Stm::atomically contexts hold none between calls, so Executors
+///     created one after another on a quiet Stm bind TxIds 0, 1, 2, ...),
 ///     and
 ///   * records commits/aborts/attempt histograms into a private
 ///     Instrumentation shard — no shared counter is touched on the commit

@@ -42,7 +42,8 @@
 // mode map is a SmallMap (inline storage, O(1) epoch clear), a tagless
 // footprint is a fixed array (its spill set a SmallSet), and the undo/redo
 // logs keep their capacity across retries and transactions. A steady-state
-// transaction run through an Executor performs zero heap allocations.
+// transaction performs zero heap allocations, through an Executor or
+// through Stm::atomically's pooled contexts.
 
 #include <array>
 #include <atomic>
@@ -199,13 +200,23 @@ struct UndoEntry {
     std::uint64_t old_value;
 };
 
+/// Holds a TxId while unparked; a parked context (in Stm::atomically's
+/// pool) holds none, so pooled contexts never starve Executors of slots.
 class TableContext final : public TxContext {
 public:
-    TableContext(SlotPool& slots, TxId slot) : slots_(slots), slot_(slot) {}
-    ~TableContext() override { slots_.release(slot_); }
+    explicit TableContext(SlotPool& slots) : slots_(slots) { unpark(); }
+    ~TableContext() override { park(); }
 
+    void park() noexcept override {
+        if (slot_ == kParked) return;
+        slots_.release(slot_);
+        slot_ = kParked;
+    }
+    void unpark() override { slot_ = slots_.acquire(); }
+
+    static constexpr TxId kParked = kMaxAtomicTx;
     SlotPool& slots_;
-    const TxId slot_;
+    TxId slot_ = kParked;
     BlockModes held_;
     std::vector<UndoEntry> undo_;  ///< eager: in-place writes, oldest first
     /// Lazy: one entry per address in first-write order (rewrites update in
@@ -216,14 +227,14 @@ public:
 template <typename Ownership, bool kLazy>
 class TableBackend final : public Backend {
 public:
-    TableBackend(const StmConfig& config, SharedStats& stats)
+    TableBackend(const StmConfig& config, Instrumentation& stats)
         : stats_(stats),
           block_shift_(util::log2_pow2(util::next_pow2(config.block_bytes))),
           ownership_(config.table),
           slots_(kMaxAtomicTx) {}
 
     std::unique_ptr<TxContext> make_context() override {
-        return std::make_unique<TableContext>(slots_, slots_.acquire());
+        return std::make_unique<TableContext>(slots_);
     }
 
     std::uint32_t max_live_contexts() const noexcept override {
@@ -361,7 +372,7 @@ private:
         cx.redo_.clear();
     }
 
-    SharedStats& stats_;
+    Instrumentation& stats_;
     unsigned block_shift_;
     Ownership ownership_;
     SlotPool slots_;
@@ -369,7 +380,7 @@ private:
 
 template <typename Ownership>
 std::unique_ptr<Backend> make_engine(const StmConfig& config,
-                                     SharedStats& stats) {
+                                     Instrumentation& stats) {
     if (config.commit_time_locks) {
         return std::make_unique<TableBackend<Ownership, true>>(config, stats);
     }
@@ -379,8 +390,7 @@ std::unique_ptr<Backend> make_engine(const StmConfig& config,
 }  // namespace
 
 std::unique_ptr<Backend> make_table_backend(const StmConfig& config,
-                                            SharedStats& stats,
-                                            ReclaimDomain& /*reclaim*/) {
+                                            Instrumentation& stats) {
     if (config.backend == BackendKind::kTaglessTable) {
         return make_engine<TaglessOwnership>(config, stats);
     }

@@ -44,7 +44,6 @@
 #include "stm/backend.hpp"
 #include "stm/sched_hook.hpp"
 #include "stm/txlocal.hpp"
-#include "util/bits.hpp"
 #include "util/hash.hpp"
 
 namespace tmb::stm::detail {
@@ -53,10 +52,13 @@ namespace {
 
 class Tl2Backend;
 
+/// Versioned stripe locks; a power of two.
+constexpr std::uint64_t kLocks = std::uint64_t{1} << 20;
+
 class Tl2Context final : public TxContext {
 public:
-    explicit Tl2Context(SharedStats& stats) : stats_(stats) {}
-    ~Tl2Context() override { flush_stats(); }
+    explicit Tl2Context(Instrumentation& stats) : stats_(stats) {}
+    ~Tl2Context() override { park(); }
 
     /// Below this size read-set dedup uses a linear scan — for the common
     /// tiny transaction a handful of L1-hot compares beats any hashing.
@@ -73,7 +75,7 @@ public:
     /// Commit-time scratch: sorted unique stripe locks of the write set.
     std::vector<std::atomic<std::uint64_t>*> commit_locks;
     /// Accumulated locally; folded into the shared block only when the
-    /// context retires (flush_stats), so neither loads nor commits touch a
+    /// context parks or retires, so neither loads nor commits touch a
     /// shared counter.
     std::uint64_t reads_tracked = 0;
     std::uint64_t validation_checks = 0;
@@ -106,7 +108,7 @@ public:
         read_filter_on_ = false;
     }
 
-    void flush_stats() noexcept override {
+    void park() noexcept override {
         if (reads_tracked) {
             stats_.tl2_read_set_entries.fetch_add(reads_tracked,
                                                   std::memory_order_relaxed);
@@ -120,18 +122,17 @@ public:
     }
 
 private:
-    SharedStats& stats_;
+    Instrumentation& stats_;
     SeenFilter<> read_seen_;
     bool read_filter_on_ = false;
 };
 
 class Tl2Backend final : public Backend {
 public:
-    Tl2Backend(const StmConfig& config, SharedStats& stats)
+    Tl2Backend(const StmConfig& config, Instrumentation& stats)
         : stats_(stats),
           gv5_(config.tl2_clock == Tl2Clock::kGv5),
-          lock_mask_(util::next_pow2(config.tl2_locks) - 1),
-          locks_(lock_mask_ + 1) {}
+          locks_(kLocks) {}
 
     std::unique_ptr<TxContext> make_context() override {
         return std::make_unique<Tl2Context>(stats_);
@@ -195,7 +196,7 @@ public:
 private:
     [[nodiscard]] std::atomic<std::uint64_t>& lock_for(const std::uint64_t* addr) {
         const auto key = reinterpret_cast<std::uintptr_t>(addr) >> 3;
-        return locks_[util::mix64(key) & lock_mask_];
+        return locks_[util::mix64(key) & (kLocks - 1)];
     }
 
     /// CAS-max: lifts the global clock to a stripe version observed beyond
@@ -342,18 +343,16 @@ private:
         return true;
     }
 
-    SharedStats& stats_;
+    Instrumentation& stats_;
     const bool gv5_;
     std::atomic<std::uint64_t> clock_{0};
-    std::uint64_t lock_mask_;
     std::vector<std::atomic<std::uint64_t>> locks_;
 };
 
 }  // namespace
 
 std::unique_ptr<Backend> make_tl2_backend(const StmConfig& config,
-                                          SharedStats& stats,
-                                          ReclaimDomain& /*reclaim*/) {
+                                          Instrumentation& stats) {
     return std::make_unique<Tl2Backend>(config, stats);
 }
 

@@ -22,10 +22,8 @@ constexpr std::uint64_t kCounterAbsorbBatch = 256;
 }  // namespace
 
 void ReclaimDomain::configure(std::uint32_t cache_blocks,
-                              std::uint64_t cache_bytes,
                               std::uint32_t shards) {
     cache_blocks_ = cache_blocks;
-    cache_bytes_ = cache_blocks != 0 ? cache_bytes : 0;
     depot_cap_ = cache_blocks * 8;
     // Cache off restores the pre-cache cadence (flush and poll every
     // transaction) — the differential baseline. Cache on batches both, so
@@ -59,7 +57,7 @@ void ReclaimDomain::unregister_slot(ReclaimSlot* slot) noexcept {
 
 void ReclaimDomain::bind_context(TxContext& cx) {
     cx.cache.cap_blocks = cache_blocks_;
-    cx.cache.cap_bytes = cache_bytes_;
+    cx.cache.cap_bytes = cache_blocks_ != 0 ? kCacheBytes : 0;
     if (cache_blocks_ != 0) {
         // Full capacity (including recycle slack) up front: BlockCache::push
         // must never allocate — it runs inside noexcept rollback paths.

@@ -123,6 +123,9 @@ inline constexpr std::uint16_t kUncachedClass = 0xFFFF;
 /// Recycling may overfill a magazine by this many blocks per class before
 /// maintenance spills the excess to the depot (kCacheSpill yield point).
 inline constexpr std::uint32_t kCacheSpillSlack = 16;
+/// Byte budget across one context's magazines: a magazine declines blocks
+/// beyond it even with block slots free.
+inline constexpr std::uint64_t kCacheBytes = std::uint64_t{1} << 18;
 
 [[nodiscard]] constexpr std::uint16_t size_class_for(std::size_t bytes,
                                                      std::size_t align) noexcept {
@@ -260,7 +263,7 @@ public:
     /// Default shape: caches on at the StmConfig defaults, one shard —
     /// equivalent to the pre-sharding design for directly constructed
     /// domains in tests. Stm::Impl reconfigures before creating contexts.
-    ReclaimDomain() { configure(64, std::uint64_t{1} << 18, 1); }
+    ReclaimDomain() { configure(64, 1); }
     ~ReclaimDomain() { drain_all(); }
 
     ReclaimDomain(const ReclaimDomain&) = delete;
@@ -271,8 +274,7 @@ public:
     /// cache_blocks == 0 disables the caches AND restores per-commit
     /// flush/poll cadence, making cache-off runs behave like the
     /// pre-cache engine for differential testing.
-    void configure(std::uint32_t cache_blocks, std::uint64_t cache_bytes,
-                   std::uint32_t shards);
+    void configure(std::uint32_t cache_blocks, std::uint32_t shards);
 
     /// Registers an epoch slot for a new context (cold path, mutex).
     [[nodiscard]] ReclaimSlot* register_slot();
@@ -436,7 +438,6 @@ private:
     Depot depot_;
 
     std::uint32_t cache_blocks_ = 0;
-    std::uint64_t cache_bytes_ = 0;
     std::uint32_t depot_cap_ = 0;     ///< per-class shelf capacity
     std::uint32_t flush_batch_ = 1;   ///< retire-buffer flush threshold
     std::uint32_t poll_period_ = 1;   ///< maintain() calls between polls

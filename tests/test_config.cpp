@@ -162,18 +162,8 @@ TEST(TableRegistry, RuntimeRegistrationExtendsTheAblation) {
 }
 
 // ---------------------------------------------------------------------------
-// STM backend selection through the registry
+// STM backend selection by name
 // ---------------------------------------------------------------------------
-
-TEST(StmFactory, BackendNamesExposeTheEngines) {
-    const auto names = stm::backend_names();
-    EXPECT_TRUE(std::find(names.begin(), names.end(), "tl2") != names.end());
-    EXPECT_TRUE(std::find(names.begin(), names.end(), "table") != names.end());
-    EXPECT_TRUE(std::find(names.begin(), names.end(), "adaptive") !=
-                names.end());
-    EXPECT_TRUE(std::find(names.begin(), names.end(), "atomic") == names.end())
-        << "table=tagless is the lock-free engine; no separate key";
-}
 
 TEST(StmFactory, CreateSelectsBackendByName) {
     const struct {

@@ -131,6 +131,24 @@ TEST(ParallelEngine, CountersSumAcrossShards) {
     EXPECT_EQ(result.stats.attempts_per_commit.total(), commits);
 }
 
+TEST(ParallelEngine, RunCarriesTheTl2CountersContextsFoldIn) {
+    // TL2 contexts count read-set entries and validation checks locally and
+    // fold them into the instance block when they retire; the run result
+    // carries that delta like every other instance-block counter.
+    exec::ParallelRunner runner(cfg(
+        "backend=tl2 workload=counters threads=2 ops=2000 "
+        "slots=64 tx_size=4 contention=yield seed=53"));
+    const stm::StmStats before = runner.stm().stats();
+    const auto result = runner.run();
+    const stm::StmStats after = runner.stm().stats();
+    EXPECT_GT(result.stats.tl2_read_set_entries, 0u);
+    EXPECT_GT(result.stats.tl2_validation_checks, 0u);
+    EXPECT_EQ(result.stats.tl2_read_set_entries,
+              after.tl2_read_set_entries - before.tl2_read_set_entries);
+    EXPECT_EQ(result.stats.tl2_validation_checks,
+              after.tl2_validation_checks - before.tl2_validation_checks);
+}
+
 TEST(ParallelEngine, TableQuiescentAfterRun) {
     // Drive the lock-free table through the STM, then check the table
     // directly: a lost release would leave a stuck entry that blocks this

@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <future>
 #include <numeric>
 #include <set>
 #include <string>
@@ -540,6 +544,61 @@ TEST(StmRuntime, SequentialTransactionsReuseSlots) {
         tm.atomically([&](Transaction& tx) { x.write(tx, x.read(tx) + 1); });
     }
     EXPECT_EQ(x.unsafe_read(), 200);
+}
+
+TEST(StmRuntime, PooledContextsHoldNoTxId) {
+    // Stm::atomically parks its contexts in a pool between calls. Fill the
+    // pool from 64 concurrent calls, then take every TxId with Executors: a
+    // parked context that kept its TxId would leave make_executor waiting
+    // forever.
+    for (const char* spec :
+         {"backend=table table=tagless", "backend=table table=tagged",
+          "backend=adaptive engine=table policy=off"}) {
+        SCOPED_TRACE(spec);
+        const auto tm = Stm::create(config::Config::from_string(spec));
+        const std::uint32_t cap = tm->max_live_executors();
+        ASSERT_EQ(cap, 62u);
+
+        // Each call waits inside its body until `cap` calls are inside, so
+        // at least `cap` contexts exist at once and all go back to the pool.
+        constexpr int kCalls = 64;
+        std::atomic<std::uint32_t> inside{0};
+        std::vector<std::thread> threads;
+        threads.reserve(kCalls);
+        for (int t = 0; t < kCalls; ++t) {
+            threads.emplace_back([&] {
+                bool counted = false;
+                tm->atomically([&](Transaction&) {
+                    if (!counted) {
+                        counted = true;
+                        inside.fetch_add(1);
+                    }
+                    while (inside.load() < cap) std::this_thread::yield();
+                });
+            });
+        }
+        for (auto& th : threads) th.join();
+
+        auto executors = std::async(std::launch::async, [&] {
+            std::vector<std::unique_ptr<Executor>> out;
+            for (std::uint32_t i = 0; i < cap; ++i) {
+                out.push_back(tm->make_executor());
+            }
+            for (auto& exec : out) exec->atomically([](Transaction&) {});
+            return out.size();
+        });
+        if (executors.wait_for(std::chrono::seconds(10)) !=
+            std::future_status::ready) {
+            // make_executor cannot be cancelled and the future's destructor
+            // would join it: report and leave instead of hanging the suite.
+            ADD_FAILURE() << "parked contexts pinned TxIds: make_executor "
+                             "still waiting after 10 s";
+            std::fflush(stdout);
+            std::_Exit(EXIT_FAILURE);
+        }
+        EXPECT_EQ(executors.get(), cap);
+        EXPECT_EQ(tm->occupied_metadata_entries(), 0u);
+    }
 }
 
 TEST(StmRuntime, IndependentInstancesDoNotInterfere) {

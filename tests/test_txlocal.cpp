@@ -8,7 +8,8 @@
 //   * SeenFilter — no-false-positive property against a reference set.
 //   * Zero allocations — a global operator-new hook counts heap
 //     allocations; after a warm-up, a transaction retry loop through an
-//     Executor must perform none, for every backend and both TL2 clocks.
+//     Executor or through Stm::atomically must perform none, for every
+//     backend and both TL2 clocks.
 //   * TL2 read-set dedup — re-reading a stripe must not inflate the read
 //     set, and commit-time validation work must equal the unique-stripe
 //     count (the duplicate-validation inefficiency this PR fixes).
@@ -218,17 +219,22 @@ struct alignas(64) PaddedVar {
     TVar<long> value;
 };
 
+/// The two ways to run a transaction: a pinned Executor context, or a
+/// context borrowed from Stm::atomically's pool for each call.
+enum class Entry { kExecutor, kAtomically };
+
 /// Runs warm-up then measured transactions (each with one explicit retry,
-/// exercising the abort/rollback path too) and returns the heap allocations
-/// performed inside the measured region.
-std::uint64_t measure_steady_state_allocs(const std::string& spec) {
+/// exercising the abort/rollback path too) through `entry` and returns the
+/// heap allocations performed inside the measured region.
+std::uint64_t measure_steady_state_allocs(const std::string& spec,
+                                          Entry entry) {
     const auto tm = Stm::create(config::Config::from_string(spec));
-    const auto exec = tm->make_executor();
+    const auto exec = entry == Entry::kExecutor ? tm->make_executor() : nullptr;
     std::vector<PaddedVar> vars(16);
 
     const auto run_one = [&](int i) {
         bool retried = false;
-        exec->atomically([&](Transaction& tx) {
+        auto body = [&](Transaction& tx) {
             if (!retried) {
                 retried = true;
                 tx.retry();  // steady state includes the retry path
@@ -239,7 +245,12 @@ std::uint64_t measure_steady_state_allocs(const std::string& spec) {
                 // Duplicate read of the same variable (TL2: same stripe).
                 (void)var.read(tx);
             }
-        });
+        };
+        if (exec) {
+            exec->atomically(body);
+        } else {
+            tm->atomically(body);
+        }
     };
 
     for (int i = 0; i < 64; ++i) run_one(i);  // warm-up: capacities settle
@@ -257,10 +268,13 @@ TEST(ZeroAllocation, SteadyStateTransactionsAcrossAllBackends) {
         "backend=table table=tagged contention=none",
         "backend=table table=tagless commit_time_locks=1 contention=none",
         "backend=table table=tagged commit_time_locks=1 contention=none",
+        "backend=adaptive engine=table policy=off contention=none",
     };
     for (const char* spec : specs) {
-        EXPECT_EQ(measure_steady_state_allocs(spec), 0u)
-            << "steady-state transactions allocated on: " << spec;
+        EXPECT_EQ(measure_steady_state_allocs(spec, Entry::kExecutor), 0u)
+            << "steady-state Executor transactions allocated on: " << spec;
+        EXPECT_EQ(measure_steady_state_allocs(spec, Entry::kAtomically), 0u)
+            << "steady-state Stm::atomically calls allocated on: " << spec;
     }
 }
 
