@@ -1,5 +1,5 @@
 // queue.hpp — the service front door: sharded, bounded, mutex-striped
-// submission rings.
+// submission rings, plus the eventcount idle dispatchers park on.
 //
 // Admission control lives here: try_push on a full shard fails immediately
 // (the caller counts an explicit rejection) instead of blocking or growing
@@ -13,10 +13,28 @@
 // would deadlock the whole run; callers therefore yield strictly outside
 // these methods. Under real threads the same discipline keeps the critical
 // sections a handful of instructions.
+//
+// Eventcount: a dispatcher that finds every ring empty parks on a 32-bit
+// generation word (a futex) instead of sleep-polling, and holds no lock
+// while parked. park() announces itself in a waiter count, fences, reads the
+// generation and re-probes the rings and the closed flag; only if there is
+// still nothing to do does it wait for the generation to move. A successful
+// try_push fences and loads the waiter count, and only when someone is
+// announced bumps the generation and wakes one waiter — with nobody parked
+// a push pays one fence and one load. The two fences form a Dekker pair:
+// either the push sees the announced waiter, or the re-probe sees the push,
+// so no wakeup is lost; a bump between the parker's read and its wait makes
+// the wait return at once. close() bumps the generation and wakes every
+// waiter. The park timeout therefore only bounds a lost wakeup. TSan does
+// not model standalone fences (GCC warns under -fsanitize=thread), but it
+// still sees the pair ordered: the push and the re-probe take the same
+// shard mutex.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -46,14 +64,20 @@ public:
     }
 
     /// False when the shard is full (admission rejection) or intake is
-    /// closed (shutdown began). Never blocks beyond the shard mutex.
+    /// closed (shutdown began). Never blocks beyond the shard mutex; wakes
+    /// one parked dispatcher when one is announced.
     bool try_push(std::uint32_t shard, const Request& r) {
-        Shard& sh = *shards_[shard % shards_.size()];
-        const std::lock_guard<std::mutex> lock(sh.mu);
-        if (closed_.load(std::memory_order_relaxed)) return false;
-        if (sh.tail - sh.head == depth_) return false;
-        sh.ring[sh.tail % depth_] = r;
-        ++sh.tail;
+        {
+            Shard& sh = *shards_[shard % shards_.size()];
+            const std::lock_guard<std::mutex> lock(sh.mu);
+            if (closed_.load(std::memory_order_relaxed)) return false;
+            if (sh.tail - sh.head == depth_) return false;
+            sh.ring[sh.tail % depth_] = r;
+            ++sh.tail;
+        }
+        // Pairs with the fence in park(): see the header comment.
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (waiters_.load(std::memory_order_relaxed) != 0) wake(1);
         return true;
     }
 
@@ -67,9 +91,13 @@ public:
         return true;
     }
 
-    /// Stops intake: every subsequent try_push fails. Requests already
-    /// queued stay poppable — the drain protocol empties them.
-    void close() { closed_.store(true, std::memory_order_relaxed); }
+    /// Stops intake: every subsequent try_push fails, and every parked
+    /// dispatcher wakes. Requests already queued stay poppable — the drain
+    /// protocol empties them.
+    void close() {
+        closed_.store(true, std::memory_order_seq_cst);
+        wake(kWakeAll);
+    }
     [[nodiscard]] bool closed() const {
         return closed_.load(std::memory_order_relaxed);
     }
@@ -82,6 +110,12 @@ public:
         return true;
     }
 
+    /// Blocks while every ring is empty and intake is open, until a push or
+    /// close() wakes the caller or `timeout` passes. True only when the
+    /// wait ended by timeout; returns false at once when there is work or
+    /// intake is closed.
+    bool park(std::chrono::nanoseconds timeout);
+
     [[nodiscard]] std::uint32_t shards() const {
         return static_cast<std::uint32_t>(shards_.size());
     }
@@ -90,6 +124,11 @@ public:
     /// kill-point conservation oracle checks against.
     [[nodiscard]] std::uint64_t capacity() const {
         return std::uint64_t{depth_} * shards_.size();
+    }
+    /// Dispatchers inside park() right now (announced, possibly not yet
+    /// asleep).
+    [[nodiscard]] std::uint32_t parked() const {
+        return waiters_.load(std::memory_order_seq_cst);
     }
 
 private:
@@ -100,9 +139,17 @@ private:
         std::uint64_t tail = 0;  ///< push position (monotonic)
     };
 
+    static constexpr int kWakeAll = std::numeric_limits<int>::max();
+    /// Bumps the generation and wakes up to `n` parked dispatchers.
+    void wake(int n);
+
     std::vector<std::unique_ptr<Shard>> shards_;
     std::uint32_t depth_;
     std::atomic<bool> closed_{false};
+    // The eventcount: written by parks and wakes only, so it gets its own
+    // cache line away from the read-mostly fields above.
+    alignas(64) std::atomic<std::uint32_t> generation_{0};
+    std::atomic<std::uint32_t> waiters_{0};
 };
 
 }  // namespace tmb::svc

@@ -37,7 +37,9 @@ public:
         // kRetry so PCT demotes the retrying dispatcher.
         scheduler_yield(YieldPoint::kRetry, YieldSite::kSvcDequeue);
     }
-    void idle() override {}  // the loops' own yields pace everything
+    // The loops' own yields pace everything: waiting is a no-op.
+    void idle() override {}
+    bool park(SubmitQueues& /*q*/) override { return false; }
     void pace_until(std::uint64_t /*t*/) override {
         throw std::logic_error(
             "svc sched: open arrival is not supported under virtual time");

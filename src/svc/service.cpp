@@ -145,6 +145,9 @@ std::string svc_repro_flags(const SvcConfig& cfg) {
     if (cfg.retry_budget != 0) {
         out += " --retry=backoff:" + std::to_string(cfg.retry_budget);
     }
+    if (cfg.backoff_cap_us != SvcConfig{}.backoff_cap_us) {
+        out += " --backoff_cap_us=" + std::to_string(cfg.backoff_cap_us);
+    }
     out += " --requests=" + std::to_string(cfg.requests_per_client) +
            " --ops=" + std::to_string(cfg.ops_per_request) +
            " --slots=" + std::to_string(cfg.slots) +
@@ -306,7 +309,8 @@ void Service::dispatcher_loop(std::uint32_t dispatcher) {
             // Drain protocol: intake closed + rings empty = done. Requests
             // other dispatchers already popped are theirs to resolve.
             if (queues_.closed() && queues_.all_empty()) return;
-            env_.idle();
+            ++st.counters.parks;
+            if (env_.park(queues_)) ++st.counters.park_timeouts;
             continue;
         }
         run_batch(dispatcher, batch);

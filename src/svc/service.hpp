@@ -21,8 +21,8 @@
 //     kill-point oracle (svc/sched_service.hpp) checks the relaxed
 //     in-flight form at every step.
 //   * Clean shutdown — stop intake (queues close when the last client
-//     finishes) → dispatchers drain the rings → executors retire →
-//     reclaim_drain → ledger check.
+//     finishes, which wakes every parked dispatcher) → dispatchers drain
+//     the rings → executors retire → reclaim_drain → ledger check.
 //
 // The same Service object runs under two drivers through the SvcEnv
 // interface: real threads and a wall clock (run_service, production mode),
@@ -31,6 +31,7 @@
 // stm::detail::scheduler_yield — free when no hook is installed.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -113,6 +114,10 @@ struct SvcCounters {
     std::uint64_t batches = 0;         ///< committed batches
     std::uint64_t first_try_conflicts = 0;  ///< batches whose 1st try aborted
     std::uint64_t stalls = 0;          ///< stall_dispatcher firings
+    // Idle dispatchers; outside the ledger. Under steady load a lost wakeup
+    // shows up as park timeouts.
+    std::uint64_t parks = 0;           ///< SvcEnv::park calls
+    std::uint64_t park_timeouts = 0;   ///< parks that ended by timeout
 
     void merge(const SvcCounters& o) {
         submitted += o.submitted;
@@ -127,6 +132,8 @@ struct SvcCounters {
         batches += o.batches;
         first_try_conflicts += o.first_try_conflicts;
         stalls += o.stalls;
+        parks += o.parks;
+        park_timeouts += o.park_timeouts;
     }
     /// Requests that reached a terminal bucket.
     [[nodiscard]] std::uint64_t resolved() const {
@@ -147,8 +154,9 @@ struct SvcCommit {
     std::vector<SvcSlotValue> writes;  ///< op order across requests
 };
 
-/// Environment a Service runs against: wall clock + sleeps in production,
-/// virtual step clock + yields under the deterministic turnstile.
+/// Environment a Service runs against: wall clock, sleeps and futex parks
+/// in production, virtual step clock + yields under the deterministic
+/// turnstile.
 class SvcEnv {
 public:
     virtual ~SvcEnv() = default;
@@ -157,8 +165,16 @@ public:
     [[nodiscard]] virtual std::uint64_t now() = 0;
     /// Dispatcher-level retry backoff before attempt `attempt` (1-based).
     virtual void backoff(std::uint32_t attempt) = 0;
-    /// Nothing to do right now (empty rings, closed-loop window wait).
+    /// A short wait with nothing to do: the closed-loop client's window
+    /// wait and the slow_shard fault.
     virtual void idle() = 0;
+    /// Every ring is empty: park the dispatcher on the queues' eventcount
+    /// until a push or close() wakes it. Returns true when the park ended
+    /// by timeout instead. Since close() wakes every parked dispatcher, the
+    /// 1 ms timeout only bounds a lost wakeup, so it is not a config key.
+    virtual bool park(SubmitQueues& q) {
+        return q.park(std::chrono::milliseconds(1));
+    }
     /// Open-arrival pacing: block until now() >= t.
     virtual void pace_until(std::uint64_t t) = 0;
     /// stall_dispatcher fault body.

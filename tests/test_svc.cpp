@@ -1,11 +1,17 @@
 // Tests for the live service front-end (src/svc/): admission-control
-// queues, fault-spec parsing, deterministic deadline and retry-budget
+// queues and their park/wake eventcount, config and fault-spec parsing and
+// the repro-flag round trip, deterministic deadline and retry-budget
 // behavior under the scheduled harness, kill-point request conservation,
 // replay determinism across backends, decision-site reachability of the
 // service yield sites, and the real-thread production driver.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "config/config.hpp"
@@ -95,6 +101,59 @@ TEST(SvcQueue, BoundedFifoWithExplicitRejection) {
     EXPECT_TRUE(q.all_empty());
 }
 
+// Parks that nothing wakes last their full timeout, far past kHangBound, so
+// a broken park fails these tests instead of hanging them.
+constexpr auto kLongPark = std::chrono::seconds(30);
+constexpr auto kHangBound = std::chrono::seconds(10);
+
+TEST(SvcQueue, ParkReturnsAtOnceWhenWorkIsQueuedOrIntakeClosed) {
+    // One thread, nobody to wake it: park() must re-probe after announcing
+    // itself and return at once, not by timeout, when a request is queued
+    // and again when intake is closed.
+    SubmitQueues q(2, 4);
+    auto body = std::async(std::launch::async, [&q] {
+        std::vector<bool> timed_out;
+        Request r;
+        if (!q.try_push(1, r)) return timed_out;
+        timed_out.push_back(q.park(kLongPark));
+        if (!q.try_pop(1, r)) return timed_out;
+        q.close();
+        timed_out.push_back(q.park(kLongPark));
+        return timed_out;
+    });
+    ASSERT_EQ(body.wait_for(kHangBound), std::future_status::ready)
+        << "park() slept with a request queued or intake closed";
+    EXPECT_EQ(body.get(), (std::vector<bool>{false, false}));
+    EXPECT_EQ(q.parked(), 0u);
+}
+
+TEST(SvcQueue, PushWakesOneParkerAndCloseWakesAll) {
+    // Once every parker has announced itself, one push must wake at least
+    // one of them and close() the rest, each by a wake, not by timeout.
+    // Whatever the interleaving, only a lost wakeup leaves a parker asleep.
+    constexpr std::uint32_t kParkers = 3;
+    SubmitQueues q(2, 4);
+    auto body = std::async(std::launch::async, [&q] {
+        std::atomic<std::uint32_t> timeouts{0};
+        std::vector<std::thread> parkers;
+        for (std::uint32_t i = 0; i < kParkers; ++i) {
+            parkers.emplace_back([&q, &timeouts] {
+                if (q.park(kLongPark)) timeouts.fetch_add(1);
+            });
+        }
+        while (q.parked() < kParkers) std::this_thread::yield();
+        EXPECT_TRUE(q.try_push(0, Request{}));
+        while (q.parked() == kParkers) std::this_thread::yield();
+        q.close();
+        for (auto& t : parkers) t.join();
+        return timeouts.load();
+    });
+    ASSERT_EQ(body.wait_for(kHangBound), std::future_status::ready)
+        << "a parker missed the push's or close()'s wakeup";
+    EXPECT_EQ(body.get(), 0u) << "parks ended by timeout, not by a wake";
+    EXPECT_EQ(q.parked(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Config and fault parsing
 // ---------------------------------------------------------------------------
@@ -150,6 +209,62 @@ TEST(SvcConfig, KeysParse) {
     EXPECT_THROW((void)svc_config_from(
                      config::Config::from_string("retry=always")),
                  std::invalid_argument);
+}
+
+TEST(SvcConfig, ReproFlagsRoundTripEveryField) {
+    // Every field off its default, so a key the echo drops reads back as
+    // the default and fails its comparison.
+    SvcConfig c;
+    c.clients = 3;
+    c.dispatchers = 5;
+    c.shards = 7;
+    c.queue_depth = 9;
+    c.batch = 11;
+    c.open_arrival = true;
+    c.arrival_per_sec = 2500.5;
+    c.deadline_us = 13;
+    c.retry_budget = 4;
+    c.backoff_cap_us = 250;
+    c.requests_per_client = 17;
+    c.ops_per_request = 6;
+    c.slots = 96;
+    c.rmw = false;
+    c.seed = 23;
+    c.fault = svc_fault_from(
+        "stall_dispatcher:2,drop_response,slow_shard:1,abort_attempts:3");
+
+    // Config::set per flag: from_string would split svc_fault at its
+    // commas.
+    config::Config cfg;
+    std::istringstream flags(svc_repro_flags(c));
+    for (std::string tok; flags >> tok;) {
+        const std::size_t eq = tok.find('=');
+        ASSERT_TRUE(tok.rfind("--", 0) == 0 && eq != std::string::npos)
+            << tok;
+        cfg.set(tok.substr(2, eq - 2), tok.substr(eq + 1));
+    }
+    const SvcConfig back = svc_config_from(cfg);
+    EXPECT_TRUE(cfg.unused_keys().empty())
+        << "the echo emits a key svc_config_from does not read";
+    EXPECT_EQ(back.clients, c.clients);
+    EXPECT_EQ(back.dispatchers, c.dispatchers);
+    EXPECT_EQ(back.shards, c.shards);
+    EXPECT_EQ(back.queue_depth, c.queue_depth);
+    EXPECT_EQ(back.batch, c.batch);
+    EXPECT_EQ(back.open_arrival, c.open_arrival);
+    EXPECT_DOUBLE_EQ(back.arrival_per_sec, c.arrival_per_sec);
+    EXPECT_EQ(back.deadline_us, c.deadline_us);
+    EXPECT_EQ(back.retry_budget, c.retry_budget);
+    EXPECT_EQ(back.backoff_cap_us, c.backoff_cap_us);
+    EXPECT_EQ(back.requests_per_client, c.requests_per_client);
+    EXPECT_EQ(back.ops_per_request, c.ops_per_request);
+    EXPECT_EQ(back.slots, c.slots);
+    EXPECT_EQ(back.rmw, c.rmw);
+    EXPECT_EQ(back.seed, c.seed);
+    EXPECT_EQ(back.fault.stall_dispatcher_ms, c.fault.stall_dispatcher_ms);
+    EXPECT_EQ(back.fault.drop_response, c.fault.drop_response);
+    EXPECT_EQ(back.fault.slow_shard, c.fault.slow_shard);
+    EXPECT_EQ(back.fault.abort_attempts, c.fault.abort_attempts);
 }
 
 // ---------------------------------------------------------------------------
