@@ -211,6 +211,7 @@ public:
     ReplayWorkload(std::shared_ptr<trace::TraceSource> source,
                    std::uint64_t slots, std::uint32_t accesses_per_tx)
         : slots_(slots),
+          slot_of_(util::HashKind::kMix64, slots),
           source_(std::move(source)),
           accesses_per_tx_(accesses_per_tx),
           id_(next_instance_id()) {
@@ -241,15 +242,20 @@ public:
                 }
             }
         });
-        // Published only after the commit, so aborted attempts never count.
-        writes_replayed_.fetch_add(cur.writes, std::memory_order_relaxed);
+        // Counted only after the commit, so aborted attempts never count.
+        cur.writes_replayed += cur.writes;
     }
 
     void verify(std::uint64_t /*committed_ops*/) const override {
         std::uint64_t sum = 0;
         for (const auto& s : slots_) sum += s.unsafe_read();
-        const std::uint64_t expected =
-            writes_replayed_.load(std::memory_order_relaxed);
+        // Cursors of earlier runs' threads stay in the map, so this covers
+        // every write replayed over the workload's lifetime, like the slots.
+        std::uint64_t expected = 0;
+        {
+            const std::scoped_lock lock(mu_);
+            for (const auto& [id, cur] : cursors_) expected += cur->writes_replayed;
+        }
         if (sum != expected) {
             throw std::runtime_error(
                 "replay invariant violated: slot sum " + std::to_string(sum) +
@@ -273,13 +279,15 @@ private:
         bool is_write;
     };
 
-    /// Per-thread replay cursor: one stream plus its chunk buffers.
+    /// Per-thread replay cursor: one stream plus its chunk buffers. Only
+    /// its thread writes it; verify() reads it at quiescence.
     struct Cursor {
         std::unique_ptr<trace::StreamSource> reader;
         std::size_t stream_index = 0;
         std::vector<trace::Access> buf;
         std::vector<Op> ops;
-        std::uint32_t writes = 0;
+        std::uint32_t writes = 0;           ///< writes in `ops`
+        std::uint64_t writes_replayed = 0;  ///< writes of committed ops
     };
 
     static std::uint64_t next_instance_id() {
@@ -339,18 +347,17 @@ private:
         cur.ops.clear();
         cur.writes = 0;
         for (const trace::Access& a : cur.buf) {
-            cur.ops.push_back(
-                Op{util::mix64(a.block) % slots_.size(), a.is_write});
+            cur.ops.push_back(Op{slot_of_(a.block), a.is_write});
             cur.writes += a.is_write ? 1 : 0;
         }
     }
 
     std::vector<stm::TVar<std::uint64_t>> slots_;
+    util::BlockHasher slot_of_;  ///< block -> slot: mix64, then mask or %
     std::shared_ptr<trace::TraceSource> source_;
     std::uint32_t accesses_per_tx_;
     std::uint64_t id_;
-    std::atomic<std::uint64_t> writes_replayed_{0};
-    std::mutex mu_;
+    mutable std::mutex mu_;
     std::unordered_map<std::thread::id, std::unique_ptr<Cursor>> cursors_;
     std::size_t next_stream_ = 0;
 };

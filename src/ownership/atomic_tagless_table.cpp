@@ -20,24 +20,33 @@ std::uint64_t AtomicTaglessTable::index_of(std::uint64_t block) const noexcept {
 
 namespace {
 
+[[noreturn, gnu::cold, gnu::noinline]] void throw_tx_out_of_range(TxId tx) {
+    throw std::out_of_range(
+        "AtomicTaglessTable: TxId " + std::to_string(tx) +
+        " exceeds the atomic table's capacity of " +
+        std::to_string(kMaxAtomicTx) +
+        " (two bits of the entry word encode the mode)");
+}
+
 /// TxIds 62 and 63 would alias the mode bits of the entry word (tx_bit(62)
 /// = 1<<62 lands in the mode field), silently corrupting the entry; fail
-/// fast instead.
-void check_tx(TxId tx) {
-    if (tx >= kMaxAtomicTx) {
-        throw std::out_of_range(
-            "AtomicTaglessTable: TxId " + std::to_string(tx) +
-            " exceeds the atomic table's capacity of " +
-            std::to_string(kMaxAtomicTx) +
-            " (two bits of the entry word encode the mode)");
-    }
+/// fast instead. The test stays inline; building the message does not.
+inline void check_tx(TxId tx) {
+    if (tx >= kMaxAtomicTx) [[unlikely]] throw_tx_out_of_range(tx);
+}
+
+/// Counter bump for a single-writer shard (see CounterShard): a relaxed
+/// load and store, not a locked read-modify-write.
+inline void bump(std::atomic<std::uint64_t>& counter) {
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
 }
 
 }  // namespace
 
 AcquireResult AtomicTaglessTable::acquire_read(TxId tx, std::uint64_t block) {
     check_tx(tx);
-    counter_shards_[tx].read_acquires.fetch_add(1, std::memory_order_relaxed);
+    bump(counter_shards_[tx].read_acquires);
     std::atomic<std::uint64_t>& entry = entries_[index_of(block)];
     std::uint64_t word = entry.load(std::memory_order_acquire);
     for (;;) {
@@ -61,7 +70,7 @@ AcquireResult AtomicTaglessTable::acquire_read(TxId tx, std::uint64_t block) {
             case Mode::kWrite: {
                 const auto writer = static_cast<TxId>(payload_of(word));
                 if (writer == tx) return {.ok = true};
-                counter_shards_[tx].conflicts.fetch_add(1, std::memory_order_relaxed);
+                bump(counter_shards_[tx].conflicts);
                 return {.ok = false, .conflicting = tx_bit(writer)};
             }
         }
@@ -70,7 +79,7 @@ AcquireResult AtomicTaglessTable::acquire_read(TxId tx, std::uint64_t block) {
 
 AcquireResult AtomicTaglessTable::acquire_write(TxId tx, std::uint64_t block) {
     check_tx(tx);
-    counter_shards_[tx].write_acquires.fetch_add(1, std::memory_order_relaxed);
+    bump(counter_shards_[tx].write_acquires);
     std::atomic<std::uint64_t>& entry = entries_[index_of(block)];
     std::uint64_t word = entry.load(std::memory_order_acquire);
     for (;;) {
@@ -84,7 +93,7 @@ AcquireResult AtomicTaglessTable::acquire_write(TxId tx, std::uint64_t block) {
             case Mode::kRead: {
                 const std::uint64_t others = payload_of(word) & ~tx_bit(tx);
                 if (others != 0) {
-                    counter_shards_[tx].conflicts.fetch_add(1, std::memory_order_relaxed);
+                    bump(counter_shards_[tx].conflicts);
                     return {.ok = false, .conflicting = others};
                 }
                 if (entry.compare_exchange_weak(word, pack(Mode::kWrite, tx),
@@ -96,7 +105,7 @@ AcquireResult AtomicTaglessTable::acquire_write(TxId tx, std::uint64_t block) {
             case Mode::kWrite: {
                 const auto writer = static_cast<TxId>(payload_of(word));
                 if (writer == tx) return {.ok = true};
-                counter_shards_[tx].conflicts.fetch_add(1, std::memory_order_relaxed);
+                bump(counter_shards_[tx].conflicts);
                 return {.ok = false, .conflicting = tx_bit(writer)};
             }
         }
@@ -104,7 +113,7 @@ AcquireResult AtomicTaglessTable::acquire_write(TxId tx, std::uint64_t block) {
 }
 
 void AtomicTaglessTable::release(TxId tx, std::uint64_t block, Mode /*mode*/) {
-    counter_shards_[tx & 63].releases.fetch_add(1, std::memory_order_relaxed);
+    bump(counter_shards_[tx & 63].releases);
     std::atomic<std::uint64_t>& entry = entries_[index_of(block)];
     std::uint64_t word = entry.load(std::memory_order_acquire);
     for (;;) {
@@ -123,12 +132,13 @@ void AtomicTaglessTable::release(TxId tx, std::uint64_t block, Mode /*mode*/) {
                 break;
             }
             case Mode::kWrite:
-                if (static_cast<TxId>(payload_of(word)) != tx) return;
-                if (entry.compare_exchange_weak(word, kFreeWord,
-                                                std::memory_order_acq_rel)) {
-                    return;
+                // Only the writer changes a write-held entry (a conflicting
+                // acquire only reads it, another TxId's release returns
+                // here), so the writer frees it with a plain release store.
+                if (static_cast<TxId>(payload_of(word)) == tx) {
+                    entry.store(kFreeWord, std::memory_order_release);
                 }
-                break;
+                return;
         }
     }
 }

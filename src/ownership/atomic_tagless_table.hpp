@@ -14,7 +14,8 @@
 // The single-word layout is exactly why tagless tables appeal to STM
 // implementers (paper §2.1: no tags, no chains, one CAS per acquire) — and
 // it changes nothing about their false-conflict pathology, which this class
-// inherits by construction.
+// inherits by construction. An acquire or a read release is one locked
+// instruction; a write release is a plain store.
 #pragma once
 
 #include <array>
@@ -43,12 +44,20 @@ public:
     /// entry word instead of a sharer bit, silently corrupting the entry.
     AcquireResult acquire_read(TxId tx, std::uint64_t block);
     AcquireResult acquire_write(TxId tx, std::uint64_t block);
+    /// A read release clears the sharer bit with a CAS. A write release is
+    /// a release store of the free word: only the writer ever changes a
+    /// write-held entry, as long as a TxId names one transaction on one
+    /// thread at a time. Releasing an entry `tx` does not hold (an alias
+    /// already released, or another TxId's) is a no-op.
     void release(TxId tx, std::uint64_t block, Mode mode);
 
     [[nodiscard]] std::uint64_t index_of(std::uint64_t block) const noexcept;
 
     [[nodiscard]] std::uint64_t entry_count() const noexcept { return config_.entries; }
     [[nodiscard]] const TableConfig& config() const noexcept { return config_; }
+    /// Sums the per-TxId shards. Exact while each TxId is used by one
+    /// thread at a time (see CounterShard); two threads sharing a TxId may
+    /// lose counts, and a lost count never touches an entry word.
     [[nodiscard]] TableCounters counters() const noexcept;
     [[nodiscard]] std::uint64_t occupied_entries() const noexcept;
     /// Largest number of concurrently live transactions: the sharer bitmap
@@ -88,8 +97,12 @@ private:
     /// Per-TxId statistics shard: counters are bumped on every acquire, so
     /// a single shared set would ping-pong one cache line between all
     /// threads; each transaction writes its own line instead and counters()
-    /// sums at read time. Sized kMaxTx (not kMaxAtomicTx) so release() —
-    /// which tolerates any TxId — can index with `tx & 63` unconditionally.
+    /// sums at read time. Single writer: only the thread holding TxId `tx`
+    /// writes shard `tx` (the STM's SlotPool hands a TxId over through a
+    /// release/acquire pair; the simulators are single-threaded), so a
+    /// bump is a relaxed load plus store, not a locked add. Sized kMaxTx
+    /// (not kMaxAtomicTx) so release() — which tolerates any TxId — can
+    /// index with `tx & 63` unconditionally.
     struct alignas(64) CounterShard {
         std::atomic<std::uint64_t> read_acquires{0};
         std::atomic<std::uint64_t> write_acquires{0};

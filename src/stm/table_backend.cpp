@@ -14,18 +14,20 @@
 // Both disciplines share one acquire / classify / release core, templated
 // on the organization:
 //
-//   * tagless — ownership::AtomicTaglessTable: one word per entry, one CAS
-//     per acquire, no lock on the acquire or release path (paper §2.1's
-//     appeal to implementers). A failed acquire is classified by looking
-//     the block up in the conflicting slots' footprints (true: one of them
-//     holds this very block; false: only an alias). A footprint has one
-//     writer, its slot's transaction, which publishes a block once, when it
-//     first acquires it (a read-to-write upgrade publishes nothing): a
-//     relaxed store into the next cell of a fixed inline array, then a
-//     release store of the count. A classifier acquire-loads the count and
-//     scans that prefix. Blocks past the array (kTaglessInlineBlocks) spill
-//     into a mutex-guarded set, so a transaction holding at most that many
-//     blocks takes no lock: an acquire is the entry CAS alone.
+//   * tagless — ownership::AtomicTaglessTable: one word per entry, one
+//     locked instruction (the entry CAS) per acquire, one CAS per read
+//     release and a plain store per write release, and no lock on either
+//     path (paper §2.1's appeal to implementers). A failed acquire is
+//     classified by looking the block up in the conflicting slots'
+//     footprints (true: one of them holds this very block; false: only an
+//     alias). A footprint has one writer, its slot's transaction, which
+//     publishes a block once, when it first acquires it (a read-to-write
+//     upgrade publishes nothing): a relaxed store into the next cell of a
+//     fixed inline array, then a release store of the count. A classifier
+//     acquire-loads the count and scans that prefix. Blocks past the array
+//     (kTaglessInlineBlocks) spill into a mutex-guarded set, so a
+//     transaction holding at most that many blocks takes no lock: an
+//     acquire is the entry CAS alone.
 //     Under the sched harness one virtual thread runs at a time and acquire
 //     plus publish are one step, so the split is exact; on real threads a
 //     conflicting transaction may finish, or start another, between the

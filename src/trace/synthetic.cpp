@@ -35,7 +35,7 @@ void SpecJbbLikeGenerator::Emitter::remember(std::uint64_t block) {
         recent_.push_back(block);
     } else {
         recent_[recent_next_] = block;
-        recent_next_ = (recent_next_ + 1) % recent_.size();
+        if (++recent_next_ == recent_.size()) recent_next_ = 0;
     }
 }
 
@@ -43,10 +43,13 @@ std::size_t SpecJbbLikeGenerator::Emitter::emit(std::span<Access> out) {
     for (Access& slot : out) {
         std::uint64_t block;
         if (run_remaining_ > 0) {
-            // Continue the current spatial run.
-            run_block_ += run_stride_;
+            // Continue the current spatial run, wrapping inside the arena.
+            // run_block_ always sits in the arena, so the offset reaches
+            // arena_blocks only when the stride steps past its end.
+            std::uint64_t offset = run_block_ + run_stride_ - arena_base_;
+            if (offset >= params_.arena_blocks) offset %= params_.arena_blocks;
             --run_remaining_;
-            block = arena_base_ + (run_block_ - arena_base_) % params_.arena_blocks;
+            block = arena_base_ + offset;
             run_block_ = block;
         } else if (!recent_.empty() && rng_.bernoulli(params_.reuse_fraction)) {
             // Temporal reuse of a recently touched block.

@@ -28,12 +28,6 @@ HashKind hash_kind_from_string(std::string_view name) {
                                 "' (known: shift-mask, multiplicative, mix64)");
 }
 
-std::uint64_t mix64(std::uint64_t x) noexcept {
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 // The formulas live in BlockHasher::operator() (hash.hpp) — the hot-path
 // form the ownership tables use; these free functions are thin one-shot
 // wrappers so there is exactly one implementation to test and evolve.

@@ -42,8 +42,13 @@ enum class HashKind {
                                        std::uint64_t n) noexcept;
 
 /// The raw 64-bit avalanche mixer underlying kMix64 (also useful as a
-/// general-purpose integer hash in tests).
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept;
+/// general-purpose integer hash in tests). Inline: BlockHasher runs it on
+/// every ownership-table lookup.
+[[nodiscard]] inline std::uint64_t mix64(std::uint64_t x) noexcept {
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
 
 /// Precomputed block → index hasher for one table shape. `hash_block`
 /// redoes the power-of-two test (and, failing it, a 64-bit divide) on every

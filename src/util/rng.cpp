@@ -1,16 +1,6 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-
 namespace tmb::util {
-
-namespace {
-
-[[nodiscard]] constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
     state += 0x9e3779b97f4a7c15ULL;
@@ -26,55 +16,6 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
     // All-zero state is the one invalid state for xoshiro; splitmix64 cannot
     // produce four zero outputs in a row, but guard anyway.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x1ULL;
-}
-
-Xoshiro256::result_type Xoshiro256::operator()() noexcept {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-std::uint64_t Xoshiro256::below(std::uint64_t bound) noexcept {
-    // Lemire's nearly-divisionless unbiased bounded generation.
-    std::uint64_t x = (*this)();
-    __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-    auto lo = static_cast<std::uint64_t>(m);
-    if (lo < bound) {
-        const std::uint64_t threshold = (0 - bound) % bound;
-        while (lo < threshold) {
-            x = (*this)();
-            m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-            lo = static_cast<std::uint64_t>(m);
-        }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::uint64_t Xoshiro256::uniform(std::uint64_t lo, std::uint64_t hi) noexcept {
-    return lo + below(hi - lo + 1);
-}
-
-double Xoshiro256::uniform01() noexcept {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-bool Xoshiro256::bernoulli(double p) noexcept {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return uniform01() < p;
-}
-
-std::uint64_t Xoshiro256::run_length(double p_stop, std::uint64_t cap) noexcept {
-    if (p_stop >= 1.0 || cap <= 1) return 1;
-    std::uint64_t n = 1;
-    while (n < cap && !bernoulli(p_stop)) ++n;
-    return n;
 }
 
 void Xoshiro256::jump() noexcept {

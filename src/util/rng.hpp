@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -36,24 +37,64 @@ public:
         return std::numeric_limits<result_type>::max();
     }
 
-    result_type operator()() noexcept;
+    // The draws below are defined inline: trace generators make several
+    // per emitted access, so an out-of-line call would cost more than the
+    // arithmetic.
+
+    result_type operator()() noexcept {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /// Uniform integer in [0, bound). bound must be > 0.
     /// Uses Lemire's multiply-shift rejection method (unbiased).
-    [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept;
+    [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept {
+        std::uint64_t x = (*this)();
+        __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+        auto lo = static_cast<std::uint64_t>(m);
+        if (lo < bound) {
+            const std::uint64_t threshold = (0 - bound) % bound;
+            while (lo < threshold) {
+                x = (*this)();
+                m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+                lo = static_cast<std::uint64_t>(m);
+            }
+        }
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /// Uniform integer in [lo, hi] inclusive.
-    [[nodiscard]] std::uint64_t uniform(std::uint64_t lo, std::uint64_t hi) noexcept;
+    [[nodiscard]] std::uint64_t uniform(std::uint64_t lo, std::uint64_t hi) noexcept {
+        return lo + below(hi - lo + 1);
+    }
 
     /// Uniform double in [0, 1) with 53 bits of randomness.
-    [[nodiscard]] double uniform01() noexcept;
+    [[nodiscard]] double uniform01() noexcept {
+        return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+    }
 
     /// True with probability p (clamped to [0,1]).
-    [[nodiscard]] bool bernoulli(double p) noexcept;
+    [[nodiscard]] bool bernoulli(double p) noexcept {
+        if (p <= 0.0) return false;
+        if (p >= 1.0) return true;
+        return uniform01() < p;
+    }
 
     /// Geometric-ish run length: 1 + Geometric(p_stop); mean 1/p_stop.
     /// Used by the trace generators for spatial run lengths.
-    [[nodiscard]] std::uint64_t run_length(double p_stop, std::uint64_t cap) noexcept;
+    [[nodiscard]] std::uint64_t run_length(double p_stop, std::uint64_t cap) noexcept {
+        if (p_stop >= 1.0 || cap <= 1) return 1;
+        std::uint64_t n = 1;
+        while (n < cap && !bernoulli(p_stop)) ++n;
+        return n;
+    }
 
     /// Equivalent to the xoshiro jump function: advances 2^128 steps, giving
     /// a non-overlapping substream. Useful for per-thread generators.

@@ -6,6 +6,7 @@
 #include <array>
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ownership/atomic_tagless_table.hpp"
@@ -104,6 +105,15 @@ TEST(AtomicTable, MatchesReferenceTableOnRandomSequence) {
     }
     EXPECT_EQ(atomic_table.occupied_entries(), 0u);
     EXPECT_EQ(reference.occupied_entries(), 0u);
+
+    // The single-writer counter shards must count exactly what the
+    // reference counts.
+    const TableCounters ca = atomic_table.counters();
+    const TableCounters cr = reference.counters();
+    EXPECT_EQ(ca.read_acquires, cr.read_acquires);
+    EXPECT_EQ(ca.write_acquires, cr.write_acquires);
+    EXPECT_EQ(ca.conflicts, cr.conflicts);
+    EXPECT_EQ(ca.releases, cr.releases);
 }
 
 TEST(AtomicTable, ConcurrentWritersNeverShareAnEntry) {
@@ -198,6 +208,72 @@ TEST(AtomicTable, CountersAccumulate) {
     EXPECT_EQ(c.read_acquires, 1u);
     EXPECT_EQ(c.write_acquires, 2u);
     EXPECT_EQ(c.conflicts, 1u);
+}
+
+TEST(AtomicTable, PerTxIdCountersAreExactWithThreadPrivateIds) {
+    // Counter shards are bumped with a plain load and store, which is exact
+    // only while each TxId is used by one thread at a time. Here each thread
+    // is its own TxId on a small direct-mapped table, so aliased blocks
+    // conflict across threads, and counters() must equal every thread's own
+    // tally once they join. The main thread, a TxId of its own, write-holds
+    // the last entry throughout, so some acquires conflict on any schedule.
+    constexpr std::uint64_t kEntries = 8;
+    constexpr int kThreads = 4;
+    AtomicTaglessTable table(direct(kEntries));
+    std::array<TableCounters, kThreads + 1> tally{};
+    const auto main_tx = static_cast<TxId>(kThreads);
+    ASSERT_TRUE(table.acquire_write(main_tx, kEntries - 1).ok);
+    tally[kThreads].write_acquires = 1;
+
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            util::Xoshiro256 rng{static_cast<std::uint64_t>(t) + 101};
+            const auto tx = static_cast<TxId>(t);
+            TableCounters& mine = tally[t];
+            std::array<std::pair<std::uint64_t, Mode>, 3> held{};
+            while (!go.load()) std::this_thread::yield();
+            for (int i = 0; i < 10000; ++i) {
+                std::size_t n = 0;
+                for (std::size_t k = 0; k < held.size(); ++k) {
+                    const std::uint64_t block = rng.below(8 * kEntries);
+                    const bool write = rng.bernoulli(0.4);
+                    ++(write ? mine.write_acquires : mine.read_acquires);
+                    const auto r = write ? table.acquire_write(tx, block)
+                                         : table.acquire_read(tx, block);
+                    if (!r.ok) {
+                        ++mine.conflicts;
+                        break;
+                    }
+                    held[n++] = {block, write ? Mode::kWrite : Mode::kRead};
+                }
+                for (std::size_t k = 0; k < n; ++k) {
+                    table.release(tx, held[k].first, held[k].second);
+                    ++mine.releases;
+                }
+            }
+        });
+    }
+    go.store(true);
+    for (auto& th : threads) th.join();
+    table.release(main_tx, kEntries - 1, Mode::kWrite);
+    tally[kThreads].releases = 1;
+
+    TableCounters expected;
+    for (const TableCounters& c : tally) {
+        expected.read_acquires += c.read_acquires;
+        expected.write_acquires += c.write_acquires;
+        expected.conflicts += c.conflicts;
+        expected.releases += c.releases;
+    }
+    const TableCounters got = table.counters();
+    EXPECT_GT(expected.conflicts, 0u);
+    EXPECT_EQ(got.read_acquires, expected.read_acquires);
+    EXPECT_EQ(got.write_acquires, expected.write_acquires);
+    EXPECT_EQ(got.conflicts, expected.conflicts);
+    EXPECT_EQ(got.releases, expected.releases);
+    EXPECT_EQ(table.occupied_entries(), 0u);
 }
 
 TEST(AtomicTable, ClearAtQuiescence) {

@@ -190,8 +190,10 @@ TEST(LazyVsEager, ReaderBlocksLazyCommitDeterministically) {
     // Deterministic two-thread handshake: thread A opens a transaction and
     // reads x (taking read ownership), then signals B. B writes x lazily and
     // tries to commit with a 1-attempt budget: the commit-time write
-    // acquisition must conflict with A's read hold and throw. After A
-    // finishes, B succeeds.
+    // acquisition must conflict with A's read hold and throw. B's retry
+    // lets A go and waits until A has committed, so every failed commit
+    // met A's live hold: the true/false lookup, best-effort on real
+    // threads, never races A's release. Then B succeeds.
     StmConfig cfg;
     cfg.backend = BackendKind::kTaglessTable;
     cfg.commit_time_locks = true;
@@ -207,6 +209,7 @@ TEST(LazyVsEager, ReaderBlocksLazyCommitDeterministically) {
             // Hold the read ownership until B has failed once.
             while (phase.load() < 2) std::this_thread::yield();
         });
+        phase.store(3);
     });
 
     while (phase.load() < 1) std::this_thread::yield();
@@ -219,8 +222,12 @@ TEST(LazyVsEager, ReaderBlocksLazyCommitDeterministically) {
             x.write(tx, 99);
             // Attempt 1 commits against the reader's live read hold and MUST
             // fail (deterministically: the reader only releases once it sees
-            // phase 2, which we set from attempt 2 onward).
-            if (attempt >= 2) phase.store(2);
+            // phase 2, which we set from attempt 2 onward). Later attempts
+            // commit only after the reader has.
+            if (attempt >= 2) {
+                phase.store(2);
+                while (phase.load() < 3) std::this_thread::yield();
+            }
         });
     });
 
