@@ -4,12 +4,12 @@
 // Every bench prints the same rows/series the corresponding paper figure
 // plots, using fixed seeds for bit-for-bit reproducibility, and is generic
 // over the metadata organization: components are constructed *by name*
-// through the config registry, so `--table=tagged` or `--backend=tl2`
+// from string keys, so `--table=tagged` or `--backend=tl2`
 // re-runs any figure under a different organization with no recompilation.
 //
 // Shared flags (parsed into a config::Config by Runner):
-//   --table=NAME       ownership-table organization (registry key)
-//   --backend=NAME     STM backend (registry key)
+//   --table=NAME       ownership-table organization (tagless | tagged)
+//   --backend=NAME     STM backend (tl2 | table | tagless | tagged | adaptive)
 //   --entries=N        ownership-table slots (accepts "64k")
 //   --scale=X          sample-count multiplier (overrides TMB_SCALE)
 //   --csv=DIR          mirror every printed table to DIR/<name>.csv

@@ -1,6 +1,6 @@
 // ext_parallel_throughput — measured (not simulated) concurrency: the
-// execution engine drives a registry-selected workload against a
-// registry-selected STM backend with real std::threads, reporting
+// execution engine drives a workload against an STM backend, both selected
+// by name, with real std::threads, reporting
 // commits/sec and abort rate vs thread count. This is the scaling
 // counterpart to fig5/fig6's statistical simulations: the same ownership
 // metadata, contended by actual hardware threads.

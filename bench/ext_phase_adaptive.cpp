@@ -7,7 +7,7 @@
 // so abort and aliasing costs — the very thing an engine shape determines —
 // never reach wall-clock, and the comparison dissolves into scheduler
 // noise. The sched harness interleaves N virtual threads over the *real*
-// registry-built engine at the runtime's own yield points, so concurrency
+// name-built engine at the runtime's own yield points, so concurrency
 // is C = N by construction and every run is replayable. Throughput is
 // reported as commits per scheduler step: identical committed work across
 // engines, so an engine that wastes steps on aborted attempts (a small

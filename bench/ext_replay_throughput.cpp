@@ -1,9 +1,9 @@
 // ext_replay_throughput — trace replay through the real-thread engine:
-// accesses/s and abort rate vs thread count for any registry-selected trace
-// source against any STM backend. This closes the loop between the paper's
-// trace-driven experiments (simulated, §2.2) and the execution engine: the
-// same address streams that drive the alias simulator here contend on real
-// ownership metadata from real std::threads.
+// accesses/s and abort rate vs thread count for any trace source against
+// any STM backend, both selected by name. This closes the loop between the
+// paper's trace-driven experiments (simulated, §2.2) and the execution
+// engine: the same address streams that drive the alias simulator here
+// contend on real ownership metadata from real std::threads.
 //
 // Flags (on top of the shared Runner set):
 //   --backend=   tl2 | table | adaptive (default table)

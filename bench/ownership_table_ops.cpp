@@ -9,13 +9,14 @@
 #include <string>
 #include <vector>
 
-#include "config/config.hpp"
 #include "ownership/any_table.hpp"
+#include "ownership/atomic_tagless_table.hpp"
 #include "ownership/tagged_table.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
+using tmb::ownership::AtomicTaglessTable;
 using tmb::ownership::Mode;
 using tmb::ownership::TableConfig;
 using tmb::ownership::TaggedTable;
@@ -23,16 +24,15 @@ using tmb::ownership::TxId;
 
 /// Acquire a footprint of `footprint` random blocks then release it,
 /// repeatedly — the STM-commit lifecycle at a given table-size ratio. The
-/// organization is resolved by registry name, so the virtual-dispatch cost
-/// is part of what this measures (it is the production configuration: the
-/// STM's simulators and tools run tables through the same interface).
-void acquire_release_cycle(benchmark::State& state, const std::string& org) {
+/// tagless and tagged rows run an AnyTable resolved by name, so the
+/// virtual-dispatch cost is part of what they measure (it is the production
+/// configuration: the simulators and tools run tables through the same
+/// interface). The atomic_tagless row calls the STM's lock-free tagless
+/// table directly.
+template <typename Table>
+void acquire_release_cycle(benchmark::State& state, Table& table) {
     const auto entries = static_cast<std::uint64_t>(state.range(0));
     const auto footprint = static_cast<std::uint64_t>(state.range(1));
-    tmb::config::Config cfg;
-    cfg.set("table", org);
-    cfg.set("entries", std::to_string(entries));
-    const auto table = tmb::ownership::make_table(cfg);
     tmb::util::Xoshiro256 rng{42};
     std::vector<std::uint64_t> blocks(footprint);
 
@@ -41,14 +41,18 @@ void acquire_release_cycle(benchmark::State& state, const std::string& org) {
             // Block space 64x the table → realistic aliasing pressure.
             b = rng.below(entries * 64);
             const bool write = (b & 3) == 0;  // ~alpha = 3 reads per write
-            const auto r = write ? table->acquire_write(0, b)
-                                 : table->acquire_read(0, b);
+            const auto r = write ? table.acquire_write(0, b)
+                                 : table.acquire_read(0, b);
             benchmark::DoNotOptimize(r.ok);
         }
-        for (const auto b : blocks) table->release(0, b, Mode::kWrite);
+        for (const auto b : blocks) table.release(0, b, Mode::kWrite);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(footprint) * 2);
+}
+
+TableConfig shape_of(const benchmark::State& state) {
+    return {.entries = static_cast<std::uint64_t>(state.range(0))};
 }
 
 /// Chain statistics of the tagged table under multi-transaction load: how
@@ -90,17 +94,25 @@ BENCHMARK(BM_TaggedChainProfile)
 }  // namespace
 
 int main(int argc, char** argv) {
-    // One acquire/release benchmark per registered organization.
-    for (const std::string& org : tmb::ownership::table_names()) {
-        auto* b = benchmark::RegisterBenchmark(
-            ("BM_AcquireRelease/table=" + org).c_str(),
-            [org](benchmark::State& state) { acquire_release_cycle(state, org); });
-        b->ArgNames({"entries", "footprint"})
+    const auto add = [](const std::string& org, auto body) {
+        benchmark::RegisterBenchmark(("BM_AcquireRelease/table=" + org).c_str(),
+                                     body)
+            ->ArgNames({"entries", "footprint"})
             ->Args({4096, 64})
             ->Args({65536, 64})
             ->Args({65536, 256})
             ->Args({1u << 20, 256});
+    };
+    for (const std::string& org : tmb::ownership::table_names()) {
+        add(org, [org](benchmark::State& state) {
+            const auto table = tmb::ownership::make_table(org, shape_of(state));
+            acquire_release_cycle(state, *table);
+        });
     }
+    add("atomic_tagless", [](benchmark::State& state) {
+        AtomicTaglessTable table(shape_of(state));
+        acquire_release_cycle(state, table);
+    });
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     benchmark::RunSpecifiedBenchmarks();

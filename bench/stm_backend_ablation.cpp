@@ -7,8 +7,8 @@
 // word-STM baseline.
 //
 // Backends are constructed *by name* (stm::Stm::create), and the
-// contended-workload benchmarks are registered dynamically for every
-// ownership-table organization the STM engine can mount.
+// contended-workload benchmarks are registered for each name in
+// ownership::table_names().
 //
 // Every row runs Stm::atomically, which borrows a pooled context per call
 // and allocates nothing in the steady state, so the rows compare the
@@ -16,7 +16,6 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -179,17 +178,8 @@ BENCHMARK(BM_AdaptiveOff_SingleThread);
 }  // namespace
 
 int main(int argc, char** argv) {
-    // The contended ablation covers every registered organization the STM
-    // engine can mount (external AnyTable registrations are simulator-only:
-    // the table backends are compiled against the built-in organizations,
-    // so anything stm_config_from cannot map is skipped here).
+    // The contended ablation covers both organizations.
     for (const std::string& org : tmb::ownership::table_names()) {
-        try {
-            (void)tmb::stm::stm_config_from(
-                tmb::config::Config::from_string("table=" + org));
-        } catch (const std::invalid_argument&) {
-            continue;
-        }
         auto* b = benchmark::RegisterBenchmark(
             ("BM_DisjointThreads/table=" + org).c_str(),
             [org](benchmark::State& state) {

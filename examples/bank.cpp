@@ -30,7 +30,7 @@ struct RunResult {
 
 RunResult run_bank(const std::string& backend, int threads,
                    int transfers_per_thread) {
-    // Backend by registry name; the table is small on purpose so aliasing
+    // Backend by name; the table is small on purpose so aliasing
     // pressure is visible.
     const auto tm_owner = Stm::create(tmb::config::Config::from_string(
         "backend=" + backend + " entries=512"));

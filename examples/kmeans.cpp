@@ -2,7 +2,7 @@
 //
 // Build & run:   ./build/examples/kmeans [threads] [ops-per-thread]
 //
-// This is a thin driver over the registry workload `kmeans`
+// This is a thin driver over the workload `kmeans`
 // (exec::make_workload): worker threads assign points to the nearest
 // centroid, accumulating per-cluster counts and coordinate sums in
 // transactional hash maps; periodic recenter transactions fold the

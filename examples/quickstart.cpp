@@ -13,8 +13,8 @@
 int example_main(int argc, char** argv) {
     using namespace tmb::stm;
 
-    // 1. Create a runtime. The backend is chosen *by name* through the
-    //    config registry and is the paper's subject: "tagged" never suffers
+    // 1. Create a runtime. The backend is chosen *by name* from string
+    //    keys and is the paper's subject: "tagged" never suffers
     //    false conflicts; "tagless" (Fig. 1) conflates all addresses that
     //    hash to one entry; "tl2" is the classic versioned-lock design.
     //    Try: ./quickstart --backend=tagless --entries=64

@@ -27,7 +27,7 @@ constexpr int kWorkers = 2;
 int example_main(int argc, char** argv) {
     using namespace tmb::stm;
 
-    // Backend by registry name (default tagged, the paper's recommendation).
+    // Backend by name (default tagged, the paper's recommendation).
     const auto cli = tmb::config::Config::from_args(argc, argv);
     const auto tm_owner = Stm::create(cli);
     tmb::config::reject_unknown(cli);

@@ -4,7 +4,7 @@
 //
 // Build & run:   ./build/examples/vacation [threads] [ops-per-thread]
 //
-// This is a thin driver over the registry workload `vacation`
+// This is a thin driver over the workload `vacation`
 // (exec::make_workload): three resource classes with availability and
 // booking hash maps, where reservations and cancellations insert and erase
 // map nodes through the runtime's tx_alloc/tx_free — every session is one

@@ -1,6 +1,32 @@
-// adaptive_stm.cpp — the epoch-based quiesce-and-swap backend.
+// adaptive_stm.cpp — the epoch-based quiesce-and-swap backend behind
+// `backend=adaptive`, built by the same engine factory as every other
+// backend:
 //
-// Correctness hinges on three protocol rules (see also adaptive_stm.hpp):
+//   auto tm = stm::Stm::create(config::Config::from_string(
+//       "backend=adaptive engine=table table=tagless entries=1024 "
+//       "policy=auto epoch=512"));
+//
+// Epoch protocol:
+//
+//   1. Every committed transaction advances the current epoch's counters.
+//      Every N commits (an epoch boundary) the policy (adapt/policy.hpp)
+//      examines the epoch sample; a switch decision is *staged* —
+//      published as a pending config, never applied in the commit path.
+//   2. A beginning transaction that sees a pending switch stands back
+//      (yielding) instead of entering the engine; when the last in-flight
+//      transaction drains, one beginner performs the swap: asserts the old
+//      engine's metadata is fully released (occupied_metadata_entries()==0
+//      — quiescence is a hard invariant, not a hope), builds the new engine
+//      from the staged config, and republishes.
+//   3. Contexts lazily rebind: each holds a shared_ptr to the epoch it was
+//      created under, so the old engine outlives its last context even
+//      after the swap, and no transaction ever spans two engines.
+//
+// Every swap passes a kPolicySwitch scheduler yield point, so the sched
+// harness explores transitions like any other interleaving and the
+// serializability oracle checks runs that switch engines mid-schedule.
+//
+// Correctness hinges on three protocol rules:
 //
 //   * Swaps run only in the *begin* path. The commit path merely counts and
 //     stages; sched_hook.hpp's guarantee that a commit executes as one
@@ -25,7 +51,6 @@
 #include <thread>
 #include <utility>
 
-#include "adapt/adaptive_stm.hpp"
 #include "adapt/policy.hpp"
 #include "stm/backend.hpp"
 #include "stm/sched_hook.hpp"
@@ -385,18 +410,3 @@ std::unique_ptr<Backend> make_adaptive_backend(const StmConfig& config,
 }
 
 }  // namespace tmb::stm::detail
-
-namespace tmb::adapt {
-
-AdaptiveStm::AdaptiveStm(const config::Config& cfg) {
-    stm::StmConfig parsed = stm::stm_config_from(cfg);
-    if (parsed.backend != stm::BackendKind::kAdaptive) {
-        // By-type construction implies the adaptive layer; a concrete
-        // backend= names the *wrapped* engine instead.
-        parsed.adapt.engine = parsed.backend;
-        parsed.backend = stm::BackendKind::kAdaptive;
-    }
-    stm_ = std::make_unique<stm::Stm>(parsed);
-}
-
-}  // namespace tmb::adapt

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace tmb::config {
@@ -121,33 +124,40 @@ std::uint64_t Config::get_u64(std::string_view key,
     if (!e) return fallback;
     e->used = true;
     const std::string& v = e->value;
+    const auto fail = [&](const std::string& what) {
+        return std::invalid_argument("config: key '" + std::string(key) +
+                                     "' " + what + ": '" + v + "'");
+    };
     // strtoull silently wraps negatives to huge values; reject them with the
     // proper diagnostic instead.
     if (v.find('-') != std::string::npos) {
-        throw std::invalid_argument("config: key '" + std::string(key) +
-                                    "' is not a non-negative integer: '" + v +
-                                    "'");
+        throw fail("is not a non-negative integer");
     }
+    errno = 0;
     char* end = nullptr;
     const std::uint64_t out = std::strtoull(v.c_str(), &end, 0);
-    if (end == v.c_str()) {
-        throw std::invalid_argument("config: key '" + std::string(key) +
-                                    "' is not an integer: '" + v + "'");
-    }
+    if (end == v.c_str()) throw fail("is not an integer");
+    if (errno == ERANGE) throw fail("is out of range");
+    if (*end == '\0') return out;
     // Size suffixes: "64k" and "1m".
-    if (end && *end != '\0') {
-        const std::string rest = lower(end);
-        if (rest == "k") return out * 1024;
-        if (rest == "m") return out * 1024 * 1024;
-        throw std::invalid_argument("config: trailing characters in integer '" +
-                                    v + "' for key '" + std::string(key) + "'");
+    const std::string rest = lower(end);
+    const int shift = rest == "k" ? 10 : rest == "m" ? 20 : 0;
+    if (shift == 0) throw fail("has trailing characters");
+    if (out > (std::numeric_limits<std::uint64_t>::max() >> shift)) {
+        throw fail("is out of range");
     }
-    return out;
+    return out << shift;
 }
 
 std::uint32_t Config::get_u32(std::string_view key,
                               std::uint32_t fallback) const {
-    return static_cast<std::uint32_t>(get_u64(key, fallback));
+    const std::uint64_t out = get_u64(key, fallback);
+    if (out > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::invalid_argument("config: key '" + std::string(key) +
+                                    "' is out of range for 32 bits: '" +
+                                    find(key)->value + "'");
+    }
+    return static_cast<std::uint32_t>(out);
 }
 
 double Config::get_double(std::string_view key, double fallback) const {
@@ -156,9 +166,10 @@ double Config::get_double(std::string_view key, double fallback) const {
     e->used = true;
     char* end = nullptr;
     const double out = std::strtod(e->value.c_str(), &end);
-    if (end == e->value.c_str()) {
+    if (end == e->value.c_str() || *end != '\0' || !std::isfinite(out)) {
         throw std::invalid_argument("config: key '" + std::string(key) +
-                                    "' is not a number: '" + e->value + "'");
+                                    "' is not a finite number: '" +
+                                    e->value + "'");
     }
     return out;
 }
@@ -198,6 +209,19 @@ std::string Config::to_string() const {
         out += e.value;
     }
     return out;
+}
+
+std::invalid_argument unknown_name(std::string_view kind,
+                                   std::string_view name,
+                                   const std::vector<std::string>& known) {
+    std::string list;
+    for (const std::string& n : known) {
+        if (!list.empty()) list += ", ";
+        list += n;
+    }
+    return std::invalid_argument("unknown " + std::string(kind) + " '" +
+                                 std::string(name) + "' (known: " + list +
+                                 ")");
 }
 
 void reject_unknown(const Config& cfg) {

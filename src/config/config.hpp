@@ -9,14 +9,16 @@
 // flags or from inline `"key=value key2=value2"` strings, with typed
 // getters and unused-key diagnostics.
 //
-// Components are then constructed *by name* through `Registry<T>`
-// (registry.hpp): `ownership::make_table(cfg)` reads `table=`,
-// `exec::make_workload(cfg)` reads `workload=`, and so on. Adding a new
-// organization means registering one factory — no call site changes.
+// Components are then constructed *by name*: each layer's factory holds
+// the fixed list of names it knows (`ownership::make_table(cfg)` reads
+// `table=`, `exec::make_workload(cfg)` reads `workload=`,
+// `trace::make_trace_source(cfg)` reads `source=`, `sched::make_schedule`
+// reads `sched=`) and throws `unknown_name` for anything else.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,6 +52,8 @@ public:
     [[nodiscard]] bool has(std::string_view key) const noexcept;
 
     // --- typed getters (all mark the key used) ---------------------------
+    // A number must be the whole value and fit its type: get_u64 takes
+    // decimal, 0x hex or a k/m suffix ("64k"); get_double must be finite.
     [[nodiscard]] std::string get(std::string_view key,
                                   std::string_view fallback) const;
     [[nodiscard]] std::uint64_t get_u64(std::string_view key,
@@ -98,8 +102,15 @@ private:
     std::vector<std::string> positional_;
 };
 
+/// The error a by-name factory throws for a name it does not know: it
+/// names the bad value and lists the known ones, e.g. "unknown table
+/// 'nonesuch' (known: tagless, tagged)".
+[[nodiscard]] std::invalid_argument unknown_name(
+    std::string_view kind, std::string_view name,
+    const std::vector<std::string>& known);
+
 /// Runs a program body, translating std::exception escapes — config typos,
-/// unknown registry names — into a one-line stderr message and exit code 2
+/// unknown component names — into a one-line stderr message and exit code 2
 /// instead of std::terminate. Benches and examples wrap their mains in this
 /// so `--table=nonesuch` is a clean diagnostic, not a core dump.
 int guarded_main(int (*body)(int, char**), int argc, char** argv);

@@ -13,7 +13,7 @@
 //     (thread t's stream starts 2^128·t steps into the seed's sequence);
 //   * per-thread Instrumentation shards, merged into one StmStats at join —
 //     the hot path touches no shared counter;
-//   * registry-selected everything: `--backend=`/`--table=` pick the STM,
+//   * everything selected by name: `--backend=`/`--table=` pick the STM,
 //     `--workload=` picks the closure, exactly like every other driver.
 //
 // The run is bounded by an operation budget (`--ops=`, per thread;

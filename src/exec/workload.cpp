@@ -979,67 +979,55 @@ std::uint64_t PhaseWorkload::state_hash() const {
     return h;
 }
 
-namespace {
-
-/// Registers the built-in workloads exactly once (same bootstrap pattern as
-/// the table and backend registries).
-WorkloadRegistry& registry() {
-    static const bool bootstrapped = [] {
-        auto& r = WorkloadRegistry::instance();
-        r.add_default("counters", [](const config::Config& cfg) {
-            return std::make_unique<CounterArrayWorkload>(
-                cfg.get_u64("slots", 1u << 16), cfg.get_u32("tx_size", 4));
-        });
-        r.add_default("zipf", [](const config::Config& cfg) {
-            return std::make_unique<ZipfWorkload>(
-                cfg.get_u64("slots", 1u << 16), cfg.get_u32("tx_size", 4),
-                cfg.get_double("skew", 0.99));
-        });
-        r.add_default("bank", [](const config::Config& cfg) {
-            return std::make_unique<BankWorkload>(
-                cfg.get_u64("accounts", 1024));
-        });
-        r.add_default("replay", [](const config::Config& cfg) {
-            std::shared_ptr<trace::TraceSource> source =
-                trace::make_trace_source(cfg);
-            return std::make_unique<ReplayWorkload>(
-                std::move(source), cfg.get_u64("slots", 1u << 16),
-                cfg.get_u32("tx_size", 16));
-        });
-        r.add_default("phases", [](const config::Config& cfg) {
-            auto w = std::make_unique<PhaseWorkload>(
-                cfg.get_u64("slots", 1u << 16), cfg.get_u32("tx_size", 4),
-                cfg.get_u32("scan_tx", 32), cfg.get_double("skew", 0.99),
-                cfg.get_u64("phase_ops", 0), cfg.get_u32("yield_every", 0));
-            w->set_phase(cfg.get_u32("phase", 0));
-            return w;
-        });
-        r.add_default("vacation", [](const config::Config& cfg) {
-            return std::make_unique<VacationWorkload>(
-                cfg.get_u64("rows", 128), cfg.get_u64("customers", 64),
-                cfg.get_u32("queries", 2));
-        });
-        r.add_default("kmeans", [](const config::Config& cfg) {
-            return std::make_unique<KmeansWorkload>(
-                cfg.get_u32("clusters", 8), cfg.get_u32("recenter_every", 64),
-                cfg.get_u64("space", 1024));
-        });
-        r.add_default("pipeline", [](const config::Config& cfg) {
-            return std::make_unique<PipelineWorkload>(
-                cfg.get_u64("capacity", 256), cfg.get_u64("flows", 64));
-        });
-        return true;
-    }();
-    (void)bootstrapped;
-    return WorkloadRegistry::instance();
+std::vector<std::string> workload_names() {
+    return {"counters", "zipf",     "bank",   "replay",
+            "phases",   "vacation", "kmeans", "pipeline"};
 }
 
-}  // namespace
-
-std::vector<std::string> workload_names() { return registry().names(); }
-
 std::unique_ptr<Workload> make_workload(const config::Config& cfg) {
-    return registry().create(cfg.get("workload", "counters"), cfg);
+    const std::string name = cfg.get("workload", "counters");
+    if (name == "counters") {
+        return std::make_unique<CounterArrayWorkload>(
+            cfg.get_u64("slots", 1u << 16), cfg.get_u32("tx_size", 4));
+    }
+    if (name == "zipf") {
+        return std::make_unique<ZipfWorkload>(
+            cfg.get_u64("slots", 1u << 16), cfg.get_u32("tx_size", 4),
+            cfg.get_double("skew", 0.99));
+    }
+    if (name == "bank") {
+        return std::make_unique<BankWorkload>(cfg.get_u64("accounts", 1024));
+    }
+    if (name == "replay") {
+        std::shared_ptr<trace::TraceSource> source =
+            trace::make_trace_source(cfg);
+        return std::make_unique<ReplayWorkload>(
+            std::move(source), cfg.get_u64("slots", 1u << 16),
+            cfg.get_u32("tx_size", 16));
+    }
+    if (name == "phases") {
+        auto w = std::make_unique<PhaseWorkload>(
+            cfg.get_u64("slots", 1u << 16), cfg.get_u32("tx_size", 4),
+            cfg.get_u32("scan_tx", 32), cfg.get_double("skew", 0.99),
+            cfg.get_u64("phase_ops", 0), cfg.get_u32("yield_every", 0));
+        w->set_phase(cfg.get_u32("phase", 0));
+        return w;
+    }
+    if (name == "vacation") {
+        return std::make_unique<VacationWorkload>(
+            cfg.get_u64("rows", 128), cfg.get_u64("customers", 64),
+            cfg.get_u32("queries", 2));
+    }
+    if (name == "kmeans") {
+        return std::make_unique<KmeansWorkload>(
+            cfg.get_u32("clusters", 8), cfg.get_u32("recenter_every", 64),
+            cfg.get_u64("space", 1024));
+    }
+    if (name == "pipeline") {
+        return std::make_unique<PipelineWorkload>(
+            cfg.get_u64("capacity", 256), cfg.get_u64("flows", 64));
+    }
+    throw config::unknown_name("workload", name, workload_names());
 }
 
 }  // namespace tmb::exec

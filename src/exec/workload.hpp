@@ -1,11 +1,11 @@
-// workload.hpp — registry-selected transactional workloads for the
-// execution engine.
+// workload.hpp — transactional workloads for the execution engine,
+// selected by name.
 //
 // A Workload owns shared transactional state (TVar arrays) and exposes one
 // operation that engine threads execute over and over through their
-// per-thread stm::Executor. Workloads are constructed *by name* through the
-// config registry — exactly like tables and backends — so the parallel
-// bench sweeps `--workload=` the way every other driver sweeps `--table=`:
+// per-thread stm::Executor. `make_workload` constructs them *by name* —
+// exactly like tables and backends — so the parallel bench sweeps
+// `--workload=` the way every other driver sweeps `--table=`:
 //
 //   "counters"  — increment tx_size uniformly random slots of a large
 //                 counter array per transaction (low contention when
@@ -15,7 +15,7 @@
 //                 table entries; contention rises with `skew`).
 //   "bank"      — transfer a random amount between two random accounts
 //                 (read-modify-write pairs; the classic STM invariant demo).
-//   "replay"    — feed a registry-selected trace source (trace/source.hpp,
+//   "replay"    — feed a trace source selected by name (trace/source.hpp,
 //                 `source=jbb|zipf|spec:<p>|file:<path>`) through the STM:
 //                 each engine thread owns one stream cursor and replays
 //                 tx_size consecutive accesses per transaction (reads read,
@@ -64,7 +64,6 @@
 #include <atomic>
 
 #include "config/config.hpp"
-#include "config/registry.hpp"
 #include "stm/stm.hpp"
 #include "trace/zipf.hpp"
 #include "util/rng.hpp"
@@ -162,16 +161,13 @@ private:
     std::atomic<std::uint64_t> increments_{0};
 };
 
-/// The process-wide workload registry; external workloads can be added at
-/// runtime and become selectable by the engine, bench and smoke tool.
-using WorkloadRegistry = config::Registry<Workload>;
-
-/// Registered workload names, in registration order.
+/// The workload names make_workload knows, in the order listed below.
 [[nodiscard]] std::vector<std::string> workload_names();
 
 /// Creates a workload from a Config. Keys:
 ///   workload  counters | zipf | bank | replay | phases | vacation |
-///             kmeans | pipeline (default "counters")
+///             kmeans | pipeline (default "counters"; any other name
+///             throws std::invalid_argument listing these)
 ///   slots     counter/zipf/replay/phases array size (default 65536;
 ///             accepts "64k")
 ///   tx_size   transactional accesses per operation (default 4; replay

@@ -49,7 +49,7 @@ struct WorkloadMix {
 struct HybridConfig {
     std::uint32_t threads = 4;
     cache::CacheGeometry htm_cache{};  ///< paper: 32KB 4-way 64B
-    /// STM-fallback ownership-table organization, by registry name
+    /// STM-fallback ownership-table organization, "tagless" or "tagged"
     /// (any_table.hpp) — the paper's ablation axis.
     std::string stm_table = "tagless";
     std::uint64_t stm_table_entries = 1u << 16;

@@ -1,8 +1,5 @@
 #include "ownership/any_table.hpp"
 
-#include <stdexcept>
-
-#include "ownership/atomic_tagless_table.hpp"
 #include "ownership/tagged_table.hpp"
 #include "ownership/tagless_table.hpp"
 
@@ -13,8 +10,8 @@ namespace {
 template <OwnershipTable Table>
 class AnyTableImpl final : public AnyTable {
 public:
-    AnyTableImpl(std::string name, TableConfig config)
-        : name_(std::move(name)), table_(config) {}
+    AnyTableImpl(std::string_view name, TableConfig config)
+        : name_(name), table_(config) {}
 
     AcquireResult acquire_read(TxId tx, std::uint64_t block) override {
         return table_.acquire_read(tx, block);
@@ -42,66 +39,19 @@ public:
         std::uint64_t block) const noexcept override {
         return table_.mode_of_block(block);
     }
-    [[nodiscard]] TxId max_tx() const noexcept override {
-        return table_.max_tx();
-    }
     void clear() override { table_.clear(); }
     [[nodiscard]] std::string_view name() const noexcept override {
         return name_;
     }
 
 private:
-    std::string name_;
+    std::string_view name_;  ///< a literal from make_table
     Table table_;
 };
 
-template <OwnershipTable Table>
-TableRegistry::Factory builtin_factory(std::string name) {
-    return [name = std::move(name)](const config::Config& cfg) {
-        return std::make_unique<AnyTableImpl<Table>>(name,
-                                                     table_config_from(cfg));
-    };
-}
-
-/// Registers the built-in organizations exactly once; every public entry
-/// point funnels through this so the registry is populated regardless of
-/// static-initialization order or which translation units the linker kept.
-TableRegistry& registry() {
-    static const bool bootstrapped = [] {
-        auto& r = TableRegistry::instance();
-        r.add_default("tagless", builtin_factory<TaglessTable>("tagless"));
-        r.add_default("tagged", builtin_factory<TaggedTable>("tagged"));
-        r.add_default("atomic_tagless",
-              builtin_factory<AtomicTaglessTable>("atomic_tagless"));
-        return true;
-    }();
-    (void)bootstrapped;
-    return TableRegistry::instance();
-}
-
 }  // namespace
 
-std::string_view to_string(TableKind kind) noexcept {
-    switch (kind) {
-        case TableKind::kTagless: return "tagless";
-        case TableKind::kTagged: return "tagged";
-        case TableKind::kAtomicTagless: return "atomic_tagless";
-    }
-    return "unknown";
-}
-
-TableKind table_kind_from_string(std::string_view name) {
-    if (name == "tagless") return TableKind::kTagless;
-    if (name == "tagged") return TableKind::kTagged;
-    if (name == "atomic_tagless" || name == "atomic") {
-        return TableKind::kAtomicTagless;
-    }
-    throw std::invalid_argument(
-        "unknown table organization '" + std::string(name) +
-        "' (known: tagless, tagged, atomic_tagless)");
-}
-
-std::vector<std::string> table_names() { return registry().names(); }
+std::vector<std::string> table_names() { return {"tagless", "tagged"}; }
 
 TableConfig table_config_from(const config::Config& cfg) {
     TableConfig out;
@@ -112,20 +62,19 @@ TableConfig table_config_from(const config::Config& cfg) {
 }
 
 std::unique_ptr<AnyTable> make_table(const config::Config& cfg) {
-    return registry().create(cfg.get("table", "tagless"), cfg);
+    const std::string name = cfg.get("table", "tagless");
+    return make_table(name, table_config_from(cfg));
 }
 
 std::unique_ptr<AnyTable> make_table(std::string_view name,
                                      TableConfig config) {
-    config::Config cfg;
-    cfg.set("table", name);
-    cfg.set("entries", std::to_string(config.entries));
-    cfg.set("hash", util::to_string(config.hash));
-    return make_table(cfg);
-}
-
-std::unique_ptr<AnyTable> make_table(TableKind kind, TableConfig config) {
-    return make_table(to_string(kind), config);
+    if (name == "tagless") {
+        return std::make_unique<AnyTableImpl<TaglessTable>>("tagless", config);
+    }
+    if (name == "tagged") {
+        return std::make_unique<AnyTableImpl<TaggedTable>>("tagged", config);
+    }
+    throw config::unknown_name("table", name, table_names());
 }
 
 }  // namespace tmb::ownership

@@ -3,19 +3,14 @@
 // Simulators, the hybrid-TM model, benches, examples and tools all construct
 // their ownership table through this interface so that every workload is
 // generic over the metadata organization — the paper's central ablation.
-// Three organizations are built in, registered in the process-wide
-// `config::Registry<AnyTable>` under these names:
+// `make_table` knows the paper's two organizations, the same two names
+// `Stm::create` accepts for `table=`:
 //
-//   "tagless"         — paper Fig. 1 (no tags; aliasing causes FALSE conflicts)
-//   "tagged"          — paper Fig. 7 (tags + chaining; no false conflicts)
-//   "atomic_tagless"  — Fig. 1 organization with lock-free single-CAS entries
+//   "tagless"  — paper Fig. 1 (no tags; aliasing causes FALSE conflicts)
+//   "tagged"   — paper Fig. 7 (tags + chaining; no false conflicts)
 //
-// New organizations can be added at runtime via the registry; nothing
-// downstream needs to change:
-//
-//   config::Registry<ownership::AnyTable>::instance().add("mine", factory);
 //   auto t = ownership::make_table(config::Config::from_string(
-//       "table=mine entries=16384"));
+//       "table=tagged entries=16384"));
 #pragma once
 
 #include <memory>
@@ -24,19 +19,9 @@
 #include <vector>
 
 #include "config/config.hpp"
-#include "config/registry.hpp"
 #include "ownership/ownership.hpp"
 
 namespace tmb::ownership {
-
-/// Built-in organizations (legacy enum; string names are the primary
-/// selector — see to_string / make_table(const config::Config&)).
-enum class TableKind { kTagless, kTagged, kAtomicTagless };
-
-[[nodiscard]] std::string_view to_string(TableKind kind) noexcept;
-
-/// Inverse of to_string; throws std::invalid_argument on unknown names.
-[[nodiscard]] TableKind table_kind_from_string(std::string_view name);
 
 /// Virtual interface mirroring the OwnershipTable concept.
 class AnyTable {
@@ -61,20 +46,12 @@ public:
     /// conflicting; for tagged it is the block's own record.
     [[nodiscard]] virtual Mode mode_of_block(
         std::uint64_t block) const noexcept = 0;
-    /// Largest number of concurrently live transactions this organization
-    /// supports (valid TxIds are [0, max_tx)). 64 for the lock-based tables;
-    /// 62 for atomic_tagless, whose entry word spends two bits on the mode.
-    /// Drivers must validate their concurrency against this, not kMaxTx.
-    [[nodiscard]] virtual TxId max_tx() const noexcept = 0;
     virtual void clear() = 0;
     [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
 
-/// The process-wide ownership-table registry (see header comment).
-using TableRegistry = config::Registry<AnyTable>;
-
-/// Registered organization names, in registration order. Benches iterate
-/// this to ablate across every available organization.
+/// The organization names make_table knows: {"tagless", "tagged"}. Benches
+/// iterate this to ablate across both.
 [[nodiscard]] std::vector<std::string> table_names();
 
 /// Creates a table from a Config. Keys:
@@ -83,14 +60,10 @@ using TableRegistry = config::Registry<AnyTable>;
 ///   hash     shift-mask | multiplicative | mix64 (default mix64)
 [[nodiscard]] std::unique_ptr<AnyTable> make_table(const config::Config& cfg);
 
-/// Creates a table by registry name with an already-parsed shape — the path
-/// for drivers that hold a TableConfig (simulators, the hybrid TM).
+/// Creates a table by organization name with an already-parsed shape — the
+/// path for drivers that hold a TableConfig (simulators, the hybrid TM).
+/// Throws std::invalid_argument listing table_names() for any other name.
 [[nodiscard]] std::unique_ptr<AnyTable> make_table(std::string_view name,
-                                                   TableConfig config);
-
-/// Creates a table of the requested built-in organization (legacy path;
-/// routed through the registry).
-[[nodiscard]] std::unique_ptr<AnyTable> make_table(TableKind kind,
                                                    TableConfig config);
 
 /// Parses the table-shape keys (`entries`, `hash`) out of a Config.

@@ -60,10 +60,6 @@ public:
     /// lose counts, and a lost count never touches an entry word.
     [[nodiscard]] TableCounters counters() const noexcept;
     [[nodiscard]] std::uint64_t occupied_entries() const noexcept;
-    /// Largest number of concurrently live transactions: the sharer bitmap
-    /// is only 62 bits wide, so TxIds 62 and 63 are NOT usable here even
-    /// though other organizations accept them.
-    [[nodiscard]] TxId max_tx() const noexcept { return kMaxAtomicTx; }
 
     /// Not thread-safe; call only at quiescent points.
     void clear();

@@ -25,9 +25,10 @@ namespace tmb::ownership {
 
 /// Transaction identifier. Tables track holders in a 64-bit bitmap, so at
 /// most 64 concurrently live transactions are supported — far beyond the
-/// paper's experiments (C <= 8) and plenty for a per-thread STM. Individual
-/// organizations may support fewer (the atomic table spends two bitmap bits
-/// on the entry mode); query `max_tx()` instead of assuming this constant.
+/// paper's experiments (C <= 8) and plenty for a per-thread STM. Both
+/// organizations take TxIds [0, kMaxTx); the STM's lock-free tagless table
+/// spends two bitmap bits on the entry mode and takes [0, kMaxAtomicTx)
+/// (atomic_tagless_table.hpp).
 using TxId = std::uint32_t;
 inline constexpr TxId kMaxTx = 64;
 
@@ -73,7 +74,6 @@ concept OwnershipTable = requires(T t, const T ct, TxId tx, std::uint64_t block)
     { ct.index_of(block) } -> std::convertible_to<std::uint64_t>;
     { ct.occupied_entries() } -> std::convertible_to<std::uint64_t>;
     { ct.mode_of_block(block) } -> std::same_as<Mode>;
-    { ct.max_tx() } -> std::convertible_to<TxId>;
     { t.clear() } -> std::same_as<void>;
 };
 

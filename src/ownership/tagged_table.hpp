@@ -60,8 +60,6 @@ public:
     [[nodiscard]] std::uint64_t entry_count() const noexcept { return config_.entries; }
     [[nodiscard]] const TableConfig& config() const noexcept { return config_; }
     [[nodiscard]] TableCounters counters() const noexcept { return counters_; }
-    /// Largest number of concurrently live transactions (TxIds [0, max_tx)).
-    [[nodiscard]] TxId max_tx() const noexcept { return kMaxTx; }
     [[nodiscard]] std::uint64_t record_count() const noexcept { return live_records_; }
     /// Live ownership records — the tagged analog of a tagless table's
     /// occupied entries (each held block has its own record, chained records

@@ -58,8 +58,6 @@ public:
     [[nodiscard]] std::uint64_t entry_count() const noexcept { return config_.entries; }
     [[nodiscard]] const TableConfig& config() const noexcept { return config_; }
     [[nodiscard]] TableCounters counters() const noexcept { return counters_; }
-    /// Largest number of concurrently live transactions (TxIds [0, max_tx)).
-    [[nodiscard]] TxId max_tx() const noexcept { return kMaxTx; }
 
     /// Resets all entries to Free (counters are preserved).
     void clear();

@@ -4,7 +4,7 @@
 // The paper's backends claim serializability; PR 2's engine could only
 // check coarse invariants under whatever interleavings the OS happened to
 // produce. This harness makes interleavings a *first-class input*: N
-// virtual threads run real transactions over a real registry-selected STM
+// virtual threads run real transactions over a real name-selected STM
 // backend, but control transfers only at the runtime's yield points
 // (stm/sched_hook.hpp) and only to the thread a Schedule object names. One
 // OS thread executes at a time (a semaphore turnstile), so a run is a pure

@@ -145,32 +145,11 @@ private:
     RoundRobinSchedule fallback_;
 };
 
-ScheduleRegistry& registry() {
-    static const bool bootstrapped = [] {
-        auto& r = ScheduleRegistry::instance();
-        r.add_default("rr", [](const config::Config&, std::uint64_t) {
-            return std::make_unique<RoundRobinSchedule>();
-        });
-        r.add_default("random", [](const config::Config&, std::uint64_t seed) {
-            return std::make_unique<RandomSchedule>(seed);
-        });
-        r.add_default("pct", [](const config::Config& cfg, std::uint64_t seed) {
-            return std::make_unique<PctSchedule>(seed,
-                                                 cfg.get_u32("depth", 3),
-                                                 cfg.get_u64("steps", 256));
-        });
-        r.add_default("replay", [](const config::Config& cfg, std::uint64_t) {
-            return std::make_unique<ReplaySchedule>(cfg.get("schedule", ""));
-        });
-        return true;
-    }();
-    (void)bootstrapped;
-    return ScheduleRegistry::instance();
-}
-
 }  // namespace
 
-std::vector<std::string> schedule_names() { return registry().names(); }
+std::vector<std::string> schedule_names() {
+    return {"rr", "random", "pct", "replay"};
+}
 
 // ---------------------------------------------------------------------------
 // Mutation engine
@@ -322,7 +301,16 @@ std::unique_ptr<Schedule> make_schedule(const config::Config& cfg,
     // An explicit pick string wins: `--schedule=0120` alone means replay.
     const std::string kind =
         cfg.get("sched", cfg.has("schedule") ? "replay" : "random");
-    return registry().create(kind, cfg, seed);
+    if (kind == "rr") return std::make_unique<RoundRobinSchedule>();
+    if (kind == "random") return std::make_unique<RandomSchedule>(seed);
+    if (kind == "pct") {
+        return std::make_unique<PctSchedule>(seed, cfg.get_u32("depth", 3),
+                                             cfg.get_u64("steps", 256));
+    }
+    if (kind == "replay") {
+        return std::make_unique<ReplaySchedule>(cfg.get("schedule", ""));
+    }
+    throw config::unknown_name("schedule", kind, schedule_names());
 }
 
 }  // namespace tmb::sched

@@ -7,8 +7,8 @@
 //
 //   "0121020" ≡ step thread 0, then 1, then 2, then 1, ...
 //
-// Schedules are constructed by name through the config registry, exactly
-// like tables and backends:
+// `make_schedule` constructs schedules by name, exactly like tables and
+// backends:
 //
 //   sched=rr       round-robin (the deterministic baseline)
 //   sched=random   uniform over runnable threads from `seed`
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "config/config.hpp"
-#include "config/registry.hpp"
 
 namespace tmb::util {
 class Xoshiro256;
@@ -79,12 +78,7 @@ public:
 /// outside [0-9a-z].
 [[nodiscard]] std::uint32_t char_to_thread(char c);
 
-/// The process-wide schedule registry. Factories receive the per-run seed
-/// (derived by the harness from the base seed and the run index) alongside
-/// the Config holding `schedule=`, `depth=`, ...
-using ScheduleRegistry = config::Registry<Schedule, std::uint64_t>;
-
-/// Registered schedule names, in registration order.
+/// The schedule names make_schedule knows: rr, random, pct, replay.
 [[nodiscard]] std::vector<std::string> schedule_names();
 
 // ---------------------------------------------------------------------------
@@ -140,7 +134,8 @@ inline constexpr std::uint32_t kMutatorCount = 5;
     std::uint64_t max_probes = 0);
 
 /// Creates the schedule named by `sched=` (default "random"). Keys:
-///   sched      rr | random | pct | replay
+///   sched      rr | random | pct | replay (any other name throws
+///              std::invalid_argument listing schedule_names())
 ///   schedule   pick string (replay; also implies sched=replay when set)
 ///   depth      PCT priority-change points + 1 (default 3)
 ///   steps      PCT's estimate of the run's step count, over which change

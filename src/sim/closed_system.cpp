@@ -39,6 +39,10 @@ ClosedSystemResult run_closed_system(const ClosedSystemConfig& config) {
     if (config.write_footprint == 0) {
         throw std::invalid_argument("write_footprint must be > 0");
     }
+    if (config.concurrency < 1 || config.concurrency > ownership::kMaxTx) {
+        throw std::invalid_argument("concurrency must be in [1, " +
+                                    std::to_string(ownership::kMaxTx) + "]");
+    }
 
     // Blocks are drawn uniformly in [0, N), so the identity-like hash keeps
     // the simulation equal to the paper's "assign blocks to random entries".
@@ -46,13 +50,6 @@ ClosedSystemResult run_closed_system(const ClosedSystemConfig& config) {
         config.table, {.entries = config.table_entries,
                        .hash = util::HashKind::kShiftMask});
     ownership::AnyTable& table = *table_ptr;
-    // The valid range depends on the organization: atomic_tagless holds only
-    // 62 sharer bits, so a TxId of 62/63 would corrupt its entry words.
-    if (config.concurrency < 1 || config.concurrency > table.max_tx()) {
-        throw std::invalid_argument(
-            "concurrency must be in [1, " + std::to_string(table.max_tx()) +
-            "] for table '" + config.table + "'");
-    }
     util::Xoshiro256 rng{config.seed};
 
     const auto alpha_reads = static_cast<std::uint64_t>(config.alpha);

@@ -23,17 +23,17 @@ namespace tmb::sim {
 
 /// Configuration of one closed-system run.
 struct ClosedSystemConfig {
-    std::uint32_t concurrency = 2;        ///< C (applied concurrency)
+    std::uint32_t concurrency = 2;        ///< C, in [1, ownership::kMaxTx]
     std::uint64_t write_footprint = 10;   ///< W per transaction
     double alpha = 2.0;                   ///< reads per write
     std::uint64_t table_entries = 4096;   ///< N
-    /// Ownership-table organization, by registry name. NOTE: this simulation
-    /// follows the paper's abstraction of assigning blocks to random entries
-    /// directly (identity hash over [0, N)), so distinct blocks never alias
-    /// and every organization produces identical conflict counts — the knob
-    /// exists for interface uniformity and for organizations with different
-    /// bookkeeping costs, not to ablate false conflicts (use the trace-alias
-    /// or hybrid drivers for that).
+    /// Ownership-table organization: "tagless" or "tagged"
+    /// (ownership::make_table). NOTE: this simulation follows the paper's
+    /// abstraction of assigning blocks to random entries directly (identity
+    /// hash over [0, N)), so distinct blocks never alias and both
+    /// organizations produce identical conflict counts — the knob exists for
+    /// interface uniformity, not to ablate false conflicts (use the
+    /// trace-alias or hybrid drivers for that).
     std::string table = "tagless";
     std::uint64_t target_transactions = 650;  ///< completed when conflict-free
     std::uint64_t seed = 1;

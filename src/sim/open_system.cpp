@@ -47,6 +47,10 @@ OpenSystemResult run_open_system(const OpenSystemConfig& config) {
     if (config.table_entries == 0) {
         throw std::invalid_argument("table_entries must be > 0");
     }
+    if (config.concurrency < 2 || config.concurrency > ownership::kMaxTx) {
+        throw std::invalid_argument("concurrency must be in [2, " +
+                                    std::to_string(ownership::kMaxTx) + "]");
+    }
 
     // Blocks ARE entry indices (the paper assigns blocks to random entries
     // directly), so use the identity-like hash.
@@ -54,13 +58,6 @@ OpenSystemResult run_open_system(const OpenSystemConfig& config) {
         config.table, {.entries = config.table_entries,
                        .hash = util::HashKind::kShiftMask});
     ownership::AnyTable& table = *table_ptr;
-    // The valid range depends on the organization: atomic_tagless holds only
-    // 62 sharer bits, so a TxId of 62/63 would corrupt its entry words.
-    if (config.concurrency < 2 || config.concurrency > table.max_tx()) {
-        throw std::invalid_argument(
-            "concurrency must be in [2, " + std::to_string(table.max_tx()) +
-            "] for table '" + config.table + "'");
-    }
 
     util::Xoshiro256 rng{config.seed};
     OpenSystemResult result;

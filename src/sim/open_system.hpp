@@ -25,15 +25,15 @@ namespace tmb::sim {
 
 /// Configuration of one open-system data point.
 struct OpenSystemConfig {
-    std::uint32_t concurrency = 2;       ///< C
+    std::uint32_t concurrency = 2;       ///< C, in [2, ownership::kMaxTx]
     std::uint64_t write_footprint = 10;  ///< W (writes per transaction)
     double alpha = 2.0;                  ///< reads per write
     std::uint64_t table_entries = 4096;  ///< N
-    /// Ownership-table organization, by registry name. As in the closed
-    /// system, blocks ARE entry indices here (the paper's abstraction), so
-    /// organizations cannot differ on conflict counts; the knob is for
-    /// interface uniformity. The trace-alias and hybrid drivers ablate real
-    /// aliasing.
+    /// Ownership-table organization: "tagless" or "tagged"
+    /// (ownership::make_table). As in the closed system, blocks ARE entry
+    /// indices here (the paper's abstraction), so organizations cannot
+    /// differ on conflict counts; the knob is for interface uniformity. The
+    /// trace-alias and hybrid drivers ablate real aliasing.
     std::string table = "tagless";
     std::uint32_t experiments = 1000;    ///< paper: 1000 per data point
     std::uint64_t seed = 1;

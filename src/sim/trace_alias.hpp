@@ -10,8 +10,7 @@
 // Because true conflicts are removed up front, every conflict the tagless
 // table reports in this experiment is false by construction; running the
 // same streams through a tagged table (which never falsely conflicts)
-// doubles as a correctness check and is selected via the `table` registry
-// name.
+// doubles as a correctness check and is selected with `table=tagged`.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +34,7 @@ struct TraceAliasConfig {
     std::uint64_t write_footprint = 10;  ///< W distinct written blocks/stream
     std::uint64_t table_entries = 4096;  ///< N
     util::HashKind hash = util::HashKind::kMix64;
-    /// Ownership-table organization, by registry name (any_table.hpp).
+    /// Ownership-table organization: "tagless" or "tagged" (any_table.hpp).
     std::string table = "tagless";
     std::uint32_t samples = 10000;       ///< paper: "roughly 10,000"
     std::uint64_t seed = 1;
@@ -78,8 +77,8 @@ struct TraceAliasResult {
 [[nodiscard]] TraceAliasResult run_trace_alias(const TraceAliasConfig& config,
                                                trace::TraceSource& source);
 
-/// Config-driven overloads: any organization the registry knows, selected
-/// by `table=` — the paper's ablation with no recompilation.
+/// Config-driven overloads: either organization, selected by `table=` —
+/// the paper's ablation with no recompilation.
 [[nodiscard]] TraceAliasResult run_trace_alias(const config::Config& cfg,
                                                const trace::MultiThreadTrace& trace);
 [[nodiscard]] TraceAliasResult run_trace_alias(const config::Config& cfg,

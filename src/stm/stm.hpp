@@ -496,12 +496,9 @@ public:
     ///   auto tm = Stm::create(config::Config::from_string(
     ///       "backend=table table=tagless entries=16384"));
     ///
-    /// `backend=` and `table=` map onto the closed BackendKind set, so
-    /// `table=` must name tagless or tagged here (the STM's tagless engine
-    /// already runs on the lock-free table, so the simulators'
-    /// atomic_tagless is rejected); organizations registered at runtime in
-    /// the AnyTable registry are available to the simulators and the hybrid
-    /// TM, not to the STM engine.
+    /// `backend=` and `table=` map onto the closed BackendKind set;
+    /// `table=` takes the same two names as ownership::make_table (tagless,
+    /// tagged). The tagless engine runs on the lock-free AtomicTaglessTable.
     [[nodiscard]] static std::unique_ptr<Stm> create(const config::Config& cfg);
 
     Stm(const Stm&) = delete;

@@ -96,14 +96,7 @@ SvcHarnessConfig svc_harness_config_from(const config::Config& cfg) {
     out.svc.rmw = cfg.get_bool("rmw", out.svc.rmw);
     out.svc.seed = cfg.get_u64("wseed", out.svc.seed);
     out.svc.deadline_us = cfg.get_u64("deadline_steps", out.svc.deadline_us);
-    const std::string retry = cfg.get("retry", "none");
-    if (retry.rfind("backoff:", 0) == 0) {
-        out.svc.retry_budget = static_cast<std::uint32_t>(
-            std::stoull(retry.substr(8)));
-    } else if (retry != "none") {
-        throw std::invalid_argument(
-            "svc sched: retry must be 'none' or 'backoff:<budget>'");
-    }
+    out.svc.retry_budget = retry_budget_from(cfg.get("retry", "none"));
     out.svc.fault = svc_fault_from(cfg.get("svc_fault", ""));
     return out;
 }

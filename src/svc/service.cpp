@@ -1,8 +1,12 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -16,11 +20,15 @@ using stm::detail::scheduler_yield;
 using stm::detail::YieldPoint;
 using stm::detail::YieldSite;
 
+/// A whole decimal string: no sign, no space, nothing after the digits,
+/// and no value past 2^64-1.
 [[nodiscard]] std::uint64_t parse_u64(const std::string& s,
                                       const std::string& what) {
+    errno = 0;
     char* end = nullptr;
     const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0') {
+    if (std::isdigit(static_cast<unsigned char>(s[0])) == 0 || *end != '\0' ||
+        errno == ERANGE) {
         throw std::invalid_argument("svc: bad number in " + what + ": '" + s +
                                     "'");
     }
@@ -85,6 +93,19 @@ std::string to_string(const SvcFault& fault) {
     return out.empty() ? "none" : out;
 }
 
+std::uint32_t retry_budget_from(const std::string& spec) {
+    if (spec == "none") return 0;
+    if (spec.rfind("backoff:", 0) == 0) {
+        const std::uint64_t budget = parse_u64(spec.substr(8), "retry");
+        if (budget <= std::numeric_limits<std::uint32_t>::max()) {
+            return static_cast<std::uint32_t>(budget);
+        }
+    }
+    throw std::invalid_argument(
+        "svc: retry must be 'none' or 'backoff:<budget>' with a budget "
+        "below 2^32, got '" + spec + "'");
+}
+
 SvcConfig svc_config_from(const config::Config& cfg) {
     SvcConfig out;
     out.clients = cfg.get_u32("clients", out.clients);
@@ -97,10 +118,14 @@ SvcConfig svc_config_from(const config::Config& cfg) {
         out.open_arrival = false;
     } else if (arrival.rfind("open:", 0) == 0) {
         out.open_arrival = true;
-        out.arrival_per_sec = std::strtod(arrival.c_str() + 5, nullptr);
-        if (!(out.arrival_per_sec > 0)) {
+        const char* rate = arrival.c_str() + 5;
+        char* end = nullptr;
+        out.arrival_per_sec = std::strtod(rate, &end);
+        if (end == rate || *end != '\0' ||
+            !std::isfinite(out.arrival_per_sec) ||
+            !(out.arrival_per_sec > 0)) {
             throw std::invalid_argument("svc: arrival=open:<rate> needs a "
-                                        "positive rate, got '" +
+                                        "positive finite rate, got '" +
                                         arrival + "'");
         }
     } else {
@@ -109,17 +134,7 @@ SvcConfig svc_config_from(const config::Config& cfg) {
             "'");
     }
     out.deadline_us = cfg.get_u64("deadline_us", out.deadline_us);
-    const std::string retry = cfg.get("retry", "none");
-    if (retry == "none") {
-        out.retry_budget = 0;
-    } else if (retry.rfind("backoff:", 0) == 0) {
-        out.retry_budget = static_cast<std::uint32_t>(
-            parse_u64(retry.substr(8), "retry=backoff"));
-    } else {
-        throw std::invalid_argument(
-            "svc: retry must be 'none' or 'backoff:<budget>', got '" + retry +
-            "'");
-    }
+    out.retry_budget = retry_budget_from(cfg.get("retry", "none"));
     out.backoff_cap_us = cfg.get_u64("backoff_cap_us", out.backoff_cap_us);
     out.requests_per_client = cfg.get_u64("requests", out.requests_per_client);
     out.ops_per_request = cfg.get_u32("ops", out.ops_per_request);

@@ -67,6 +67,11 @@ struct SvcFault {
 [[nodiscard]] SvcFault svc_fault_from(const std::string& spec);
 [[nodiscard]] std::string to_string(const SvcFault& fault);
 
+/// Parses `retry=none|backoff:<budget>` for svc_config_from and the
+/// scheduled service's svc_harness_config_from. The budget is a whole
+/// decimal number below 2^32; anything else throws std::invalid_argument.
+[[nodiscard]] std::uint32_t retry_budget_from(const std::string& spec);
+
 /// Service shape, parsed from the same string-keyed Config vocabulary as
 /// every other driver (see svc_config_from for the key list).
 struct SvcConfig {

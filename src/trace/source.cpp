@@ -248,55 +248,6 @@ private:
     std::size_t threads_ = 0;
 };
 
-/// Registers the built-in sources exactly once (same bootstrap pattern as
-/// the table, backend and workload registries).
-TraceSourceRegistry& registry() {
-    static const bool bootstrapped = [] {
-        auto& r = TraceSourceRegistry::instance();
-        r.add_default("jbb", [](const config::Config& cfg,
-                                std::string_view arg) {
-            reject_source_arg("jbb", arg);
-            const GeneratorShape shape = generator_shape(cfg, 4);
-            SpecJbbLikeParams params;
-            params.threads = shape.threads;
-            return std::make_unique<JbbTraceSource>(
-                std::move(params), shape.accesses, shape.seed);
-        });
-        r.add_default("zipf", [](const config::Config& cfg,
-                                 std::string_view arg) {
-            reject_source_arg("zipf", arg);
-            const GeneratorShape shape = generator_shape(cfg, 4);
-            ZipfTraceParams params;
-            params.threads = shape.threads;
-            params.skew = cfg.get_double("skew", params.skew);
-            return std::make_unique<ZipfTraceSource>(params, shape.accesses,
-                                                     shape.seed);
-        });
-        r.add_default("spec", [](const config::Config& cfg,
-                                 std::string_view arg) {
-            const GeneratorShape shape = generator_shape(cfg, 1);
-            const std::string name =
-                arg.empty() ? cfg.get("profile", "gcc") : std::string(arg);
-            return std::make_unique<SpecTraceSource>(
-                spec2000_profile(name), shape.threads, shape.accesses,
-                shape.seed);
-        });
-        r.add_default("file", [](const config::Config& cfg,
-                                 std::string_view arg) {
-            const std::string path =
-                arg.empty() ? cfg.get("path", "") : std::string(arg);
-            if (path.empty()) {
-                throw std::invalid_argument(
-                    "trace source 'file' needs a path (source=file:<path>)");
-            }
-            return std::make_unique<FileTraceSource>(path);
-        });
-        return true;
-    }();
-    (void)bootstrapped;
-    return TraceSourceRegistry::instance();
-}
-
 }  // namespace
 
 MemoryTraceSource::MemoryTraceSource(const MultiThreadTrace& trace)
@@ -329,7 +280,9 @@ MultiThreadTrace materialize(TraceSource& source) {
     return trace;
 }
 
-std::vector<std::string> trace_source_names() { return registry().names(); }
+std::vector<std::string> trace_source_names() {
+    return {"jbb", "zipf", "spec", "file"};
+}
 
 std::unique_ptr<TraceSource> make_trace_source(const config::Config& cfg) {
     const std::string spec = cfg.get("source", "jbb");
@@ -337,7 +290,38 @@ std::unique_ptr<TraceSource> make_trace_source(const config::Config& cfg) {
     const std::string head = spec.substr(0, colon);
     const std::string arg =
         colon == std::string::npos ? "" : spec.substr(colon + 1);
-    return registry().create(head, cfg, arg);
+    if (head == "jbb") {
+        reject_source_arg("jbb", arg);
+        const GeneratorShape shape = generator_shape(cfg, 4);
+        SpecJbbLikeParams params;
+        params.threads = shape.threads;
+        return std::make_unique<JbbTraceSource>(std::move(params),
+                                                shape.accesses, shape.seed);
+    }
+    if (head == "zipf") {
+        reject_source_arg("zipf", arg);
+        const GeneratorShape shape = generator_shape(cfg, 4);
+        ZipfTraceParams params;
+        params.threads = shape.threads;
+        params.skew = cfg.get_double("skew", params.skew);
+        return std::make_unique<ZipfTraceSource>(params, shape.accesses,
+                                                 shape.seed);
+    }
+    if (head == "spec") {
+        const GeneratorShape shape = generator_shape(cfg, 1);
+        const std::string name = arg.empty() ? cfg.get("profile", "gcc") : arg;
+        return std::make_unique<SpecTraceSource>(
+            spec2000_profile(name), shape.threads, shape.accesses, shape.seed);
+    }
+    if (head == "file") {
+        const std::string path = arg.empty() ? cfg.get("path", "") : arg;
+        if (path.empty()) {
+            throw std::invalid_argument(
+                "trace source 'file' needs a path (source=file:<path>)");
+        }
+        return std::make_unique<FileTraceSource>(path);
+    }
+    throw config::unknown_name("trace source", head, trace_source_names());
 }
 
 std::unique_ptr<TraceSource> open_trace_file(const std::string& path) {

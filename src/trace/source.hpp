@@ -6,8 +6,8 @@
 // exposes a trace as independently pullable per-stream cursors that fill
 // caller-provided chunks, so every consumer — the alias experiment, the
 // conflict filter, the analyzer, the replay workload — runs in O(chunk)
-// memory regardless of trace length. Sources are constructed *by name*
-// through the config registry, exactly like tables and backends:
+// memory regardless of trace length. `make_trace_source` constructs them
+// *by name*, exactly like tables and backends:
 //
 //   source=jbb            SPECJBB-like synthetic generator (synthetic.hpp)
 //   source=zipf           Zipfian-popularity generator (zipf.hpp)
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "config/config.hpp"
-#include "config/registry.hpp"
 #include "trace/trace.hpp"
 
 namespace tmb::trace {
@@ -90,17 +89,14 @@ private:
 /// for consumers that genuinely need random access.
 [[nodiscard]] MultiThreadTrace materialize(TraceSource& source);
 
-/// The process-wide trace-source registry. Factories receive the Config
-/// plus the `source=` value's suffix after ':' (empty when absent), so
-/// compound keys like `spec:gcc` and `file:/tmp/a.trace` resolve without
-/// per-argument registrations.
-using TraceSourceRegistry = config::Registry<TraceSource, std::string_view>;
-
-/// Registered source names, in registration order.
+/// The source names make_trace_source knows: jbb, zipf, spec, file.
 [[nodiscard]] std::vector<std::string> trace_source_names();
 
 /// Creates a source from a Config. Keys:
-///   source    jbb | zipf | spec:<profile> | file:<path> (default "jbb")
+///   source    jbb | zipf | spec:<profile> | file:<path> (default "jbb").
+///             The name is the part before ':' and the rest is its argument;
+///             an unknown name throws std::invalid_argument listing
+///             trace_source_names()
 ///   threads   stream count for the generators (default 4)
 ///   accesses  per-stream length for the generators (default 1M)
 ///   seed      generator seed (default 1)

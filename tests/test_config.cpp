@@ -1,15 +1,13 @@
-// Tests for src/config: key/value parsing, typed getters, and the
-// string-keyed component registry that the ownership, stm, hybrid and sim
-// layers hang off.
+// Tests for src/config: key/value parsing, typed getters, and selecting
+// components by name (ownership tables, STM backends, simulator and hybrid
+// configs) from the same key vocabulary.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "config/config.hpp"
-#include "config/registry.hpp"
 #include "hybrid/hybrid_tm.hpp"
 #include "ownership/any_table.hpp"
 #include "sim/closed_system.hpp"
@@ -66,6 +64,42 @@ TEST(Config, TypedGettersFallBackAndValidate) {
     EXPECT_THROW((void)cfg.get_bool("bad", false), std::invalid_argument);
 }
 
+TEST(Config, DoubleMustBeTheWholeValueAndFinite) {
+    const auto cfg =
+        config::Config::from_string("a=2.0x b=1e999 c=inf d=nan e=-1.5e3");
+    EXPECT_THROW((void)cfg.get_double("a", 0), std::invalid_argument);
+    EXPECT_THROW((void)cfg.get_double("b", 0), std::invalid_argument);
+    EXPECT_THROW((void)cfg.get_double("c", 0), std::invalid_argument);
+    EXPECT_THROW((void)cfg.get_double("d", 0), std::invalid_argument);
+    EXPECT_DOUBLE_EQ(cfg.get_double("e", 0), -1500.0);
+}
+
+TEST(Config, U32RejectsValuesAbove32Bits) {
+    // 2^32 + 1 used to truncate to 1 (one thread for --threads=4294967297).
+    const auto cfg = config::Config::from_string(
+        "over=4294967297 max=4294967295 suffixed=4194304k");
+    EXPECT_THROW((void)cfg.get_u32("over", 0), std::invalid_argument);
+    EXPECT_EQ(cfg.get_u32("max", 0), 4294967295u);
+    EXPECT_THROW((void)cfg.get_u32("suffixed", 0), std::invalid_argument);
+}
+
+TEST(Config, U64RejectsOutOfRangeValues) {
+    // strtoull saturates at 2^64-1 with ERANGE.
+    const auto cfg = config::Config::from_string(
+        "over=99999999999999999999 max=18446744073709551615");
+    EXPECT_THROW((void)cfg.get_u64("over", 0), std::invalid_argument);
+    EXPECT_EQ(cfg.get_u64("max", 0), 18446744073709551615u);
+}
+
+TEST(Config, U64RejectsSuffixesThatOverflow) {
+    // 2^44 m is 2^64, which used to wrap to 0.
+    const auto cfg = config::Config::from_string(
+        "over=17592186044416m max=17592186044415m k=18014398509481984k");
+    EXPECT_THROW((void)cfg.get_u64("over", 0), std::invalid_argument);
+    EXPECT_EQ(cfg.get_u64("max", 0), 17592186044415ull << 20);
+    EXPECT_THROW((void)cfg.get_u64("k", 0), std::invalid_argument);
+}
+
 TEST(Config, TracksUnusedKeysForTypoDiagnostics) {
     const auto cfg = config::Config::from_string("table=tagged tabel=oops");
     (void)cfg.get("table", "");
@@ -85,21 +119,18 @@ TEST(Config, SetOverwritesAndMergeCombines) {
 }
 
 // ---------------------------------------------------------------------------
-// Ownership-table registry
+// Ownership tables by name
 // ---------------------------------------------------------------------------
 
-TEST(TableRegistry, BuiltinsAreRegistered) {
-    const auto names = ownership::table_names();
-    EXPECT_TRUE(std::find(names.begin(), names.end(), "tagless") != names.end());
-    EXPECT_TRUE(std::find(names.begin(), names.end(), "tagged") != names.end());
-    EXPECT_TRUE(std::find(names.begin(), names.end(), "atomic_tagless") !=
-                names.end());
+TEST(Table, ListsBothOrganizations) {
+    EXPECT_EQ(ownership::table_names(),
+              (std::vector<std::string>{"tagless", "tagged"}));
 }
 
-TEST(TableRegistry, MakeTableSelectsOrganizationByName) {
-    for (const char* name : {"tagless", "tagged", "atomic_tagless"}) {
-        const auto cfg = config::Config::from_string(
-            std::string("table=") + name + " entries=128");
+TEST(Table, MakeTableSelectsOrganizationByName) {
+    for (const std::string& name : ownership::table_names()) {
+        const auto cfg =
+            config::Config::from_string("table=" + name + " entries=128");
         const auto table = ownership::make_table(cfg);
         ASSERT_NE(table, nullptr);
         EXPECT_EQ(table->name(), name);
@@ -107,58 +138,25 @@ TEST(TableRegistry, MakeTableSelectsOrganizationByName) {
     }
 }
 
-TEST(TableRegistry, UnknownNameThrowsWithKnownNames) {
-    const auto cfg = config::Config::from_string("table=nonesuch");
-    try {
-        (void)ownership::make_table(cfg);
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("nonesuch"), std::string::npos);
-        EXPECT_NE(what.find("tagless"), std::string::npos) << what;
+TEST(Table, UnknownNameThrowsWithKnownNames) {
+    // atomic_tagless and its `atomic` spelling reran Fig. 1 on the STM's
+    // lock-free table; the simulators no longer take them.
+    for (const char* bad : {"nonesuch", "atomic_tagless", "atomic"}) {
+        const auto cfg = config::Config::from_string(
+            std::string("table=") + bad);
+        try {
+            (void)ownership::make_table(cfg);
+            ADD_FAILURE() << bad << ": expected std::invalid_argument";
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::string("'") + bad + "'"),
+                      std::string::npos)
+                << what;
+            for (const std::string& name : ownership::table_names()) {
+                EXPECT_NE(what.find(name), std::string::npos) << what;
+            }
+        }
     }
-}
-
-TEST(TableRegistry, RuntimeRegistrationExtendsTheAblation) {
-    // A "table" that admits everything — registered at runtime, selected by
-    // name through the exact code path the benches use.
-    class PermissiveTable final : public ownership::AnyTable {
-    public:
-        ownership::AcquireResult acquire_read(ownership::TxId,
-                                              std::uint64_t) override {
-            return {.ok = true};
-        }
-        ownership::AcquireResult acquire_write(ownership::TxId,
-                                               std::uint64_t) override {
-            return {.ok = true};
-        }
-        void release(ownership::TxId, std::uint64_t, ownership::Mode) override {}
-        std::uint64_t entry_count() const noexcept override { return 1; }
-        ownership::TableCounters counters() const noexcept override {
-            return {};
-        }
-        std::uint64_t index_of(std::uint64_t) const noexcept override {
-            return 0;
-        }
-        std::uint64_t occupied_entries() const noexcept override { return 0; }
-        ownership::Mode mode_of_block(std::uint64_t) const noexcept override {
-            return ownership::Mode::kFree;
-        }
-        ownership::TxId max_tx() const noexcept override {
-            return ownership::kMaxTx;
-        }
-        void clear() override {}
-        std::string_view name() const noexcept override { return "permissive"; }
-    };
-
-    ownership::TableRegistry::instance().add(
-        "permissive", [](const config::Config&) {
-            return std::make_unique<PermissiveTable>();
-        });
-    const auto table = ownership::make_table(
-        config::Config::from_string("table=permissive"));
-    EXPECT_EQ(table->name(), "permissive");
-    EXPECT_TRUE(table->acquire_write(0, 42).ok);
 }
 
 // ---------------------------------------------------------------------------

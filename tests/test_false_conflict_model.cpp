@@ -1,5 +1,5 @@
 // Property test for the paper's central quantitative claim, run through the
-// registry-selected ownership tables:
+// ownership tables selected by name:
 //
 //   For IDENTICAL traces of disjoint per-stream write sets,
 //     * the tagged table (Fig. 7) reports zero conflicts — every conflict
@@ -56,7 +56,7 @@ SampleTrace make_disjoint_trace(std::uint32_t c, std::uint64_t w,
     return trace;
 }
 
-/// Creates a table of the named organization through the registry — the
+/// Creates a table of the named organization through make_table — the
 /// same construction path the simulators and benches use.
 std::unique_ptr<ownership::AnyTable> make_table(const std::string& organization,
                                                 std::uint64_t entries) {

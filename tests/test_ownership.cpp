@@ -332,22 +332,17 @@ TEST(CrossTable, TaglessConflictsStrictlyMoreUnderAliasing) {
 // ---------------------------------------------------------------------------
 
 TEST(AnyTable, DispatchesToBothKinds) {
-    for (const auto kind : {TableKind::kTagless, TableKind::kTagged}) {
-        const auto t = make_table(kind, direct(16));
+    for (const std::string& name : table_names()) {
+        const auto t = make_table(name, direct(16));
         ASSERT_NE(t, nullptr);
-        EXPECT_EQ(t->name(), to_string(kind));
+        EXPECT_EQ(t->name(), name);
         EXPECT_EQ(t->entry_count(), 16u);
         EXPECT_TRUE(t->acquire_write(0, 3).ok);
         const bool alias_conflicts = !t->acquire_write(1, 3 + 16).ok;
-        EXPECT_EQ(alias_conflicts, kind == TableKind::kTagless);
+        EXPECT_EQ(alias_conflicts, name == "tagless");
         t->clear();
         EXPECT_TRUE(t->acquire_write(1, 3).ok);
     }
-}
-
-TEST(AnyTable, ToStringNames) {
-    EXPECT_EQ(to_string(TableKind::kTagless), "tagless");
-    EXPECT_EQ(to_string(TableKind::kTagged), "tagged");
 }
 
 }  // namespace

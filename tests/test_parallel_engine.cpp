@@ -5,11 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "config/config.hpp"
 #include "exec/parallel_runner.hpp"
 #include "exec/workload.hpp"
-#include "ownership/any_table.hpp"
 #include "ownership/atomic_tagless_table.hpp"
 #include "sim/closed_system.hpp"
 #include "stm/stm.hpp"
@@ -38,36 +39,23 @@ TEST(TxIdCap, AtomicTableRejectsOutOfRangeTxIds) {
     EXPECT_TRUE(t.acquire_write(0, 3).ok);
 }
 
-TEST(TxIdCap, TablesReportTheirOwnCapacity) {
-    const ownership::TableConfig shape{.entries = 64};
-    EXPECT_EQ(ownership::make_table("tagless", shape)->max_tx(),
-              ownership::kMaxTx);
-    EXPECT_EQ(ownership::make_table("tagged", shape)->max_tx(),
-              ownership::kMaxTx);
-    EXPECT_EQ(ownership::make_table("atomic_tagless", shape)->max_tx(),
-              ownership::kMaxAtomicTx);
-}
-
-TEST(TxIdCap, ClosedSystemValidatesAgainstSelectedTable) {
-    sim::ClosedSystemConfig c{.concurrency = 63,
+TEST(TxIdCap, ClosedSystemValidatesAgainstTableCapacity) {
+    sim::ClosedSystemConfig c{.concurrency = ownership::kMaxTx + 1,
                               .write_footprint = 2,
                               .table_entries = 4096,
-                              .table = "atomic_tagless",
+                              .table = "tagless",
                               .target_transactions = 10};
-    // 63 > 62: must fail fast with the actual cap in the message, not
+    // 65 > 64: must fail fast with the actual cap in the message, not
     // corrupt entries mid-run.
     try {
         (void)sim::run_closed_system(c);
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find("62"), std::string::npos)
+        EXPECT_NE(std::string(e.what()).find("64"), std::string::npos)
             << e.what();
     }
-    // At the cap it runs; on a 64-capacity table 63 is fine too.
-    c.concurrency = 62;
-    EXPECT_NO_THROW((void)sim::run_closed_system(c));
-    c.concurrency = 64;
-    c.table = "tagless";
+    // At the cap it runs.
+    c.concurrency = ownership::kMaxTx;
     EXPECT_NO_THROW((void)sim::run_closed_system(c));
 }
 
@@ -320,19 +308,27 @@ TEST(Executor, ReturnsValuesLikeAtomically) {
     EXPECT_EQ(out, 42u);
 }
 
-TEST(Workloads, RegistryListsBuiltins) {
-    const auto names = exec::workload_names();
-    ASSERT_EQ(names.size(), 8u);
-    EXPECT_EQ(names[0], "counters");
-    EXPECT_EQ(names[1], "zipf");
-    EXPECT_EQ(names[2], "bank");
-    EXPECT_EQ(names[3], "replay");
-    EXPECT_EQ(names[4], "phases");
-    EXPECT_EQ(names[5], "vacation");
-    EXPECT_EQ(names[6], "kmeans");
-    EXPECT_EQ(names[7], "pipeline");
-    EXPECT_THROW((void)exec::make_workload(cfg("workload=nonesuch")),
-                 std::invalid_argument);
+TEST(Workloads, ListsBuiltins) {
+    const std::vector<std::string> names = exec::workload_names();
+    EXPECT_EQ(names, (std::vector<std::string>{"counters", "zipf", "bank",
+                                               "replay", "phases", "vacation",
+                                               "kmeans", "pipeline"}));
+    for (const std::string& name : names) {
+        const auto w = exec::make_workload(
+            cfg("workload=" + name + " slots=64 accesses=1000"));
+        ASSERT_NE(w, nullptr) << name;
+        EXPECT_EQ(w->name(), name);
+    }
+    try {
+        (void)exec::make_workload(cfg("workload=nonesuch"));
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'nonesuch'"), std::string::npos) << what;
+        for (const std::string& name : names) {
+            EXPECT_NE(what.find(name), std::string::npos) << what;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

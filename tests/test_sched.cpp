@@ -96,14 +96,26 @@ TEST(ScheduleString, NearestRunnableWrapsDeterministically) {
     EXPECT_EQ(nearest_runnable(0b0010, 3), 1u);  // wraps to the lowest
 }
 
-TEST(ScheduleRegistry, BuiltinsAndUnknown) {
-    const auto names = schedule_names();
-    for (const char* want : {"rr", "random", "pct", "replay"}) {
-        EXPECT_NE(std::find(names.begin(), names.end(), want), names.end())
-            << want;
+TEST(Schedule, BuiltinsAndUnknown) {
+    const std::vector<std::string> names = schedule_names();
+    EXPECT_EQ(names,
+              (std::vector<std::string>{"rr", "random", "pct", "replay"}));
+    for (const std::string& name : names) {
+        EXPECT_NE(make_schedule(sched_spec("sched=" + name + " schedule=01"),
+                                1),
+                  nullptr)
+            << name;
     }
-    EXPECT_THROW((void)make_schedule(sched_spec("sched=bogus"), 1),
-                 std::invalid_argument);
+    try {
+        (void)make_schedule(sched_spec("sched=bogus"), 1);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'bogus'"), std::string::npos) << what;
+        for (const std::string& name : names) {
+            EXPECT_NE(what.find(name), std::string::npos) << what;
+        }
+    }
     // A bare schedule string implies replay.
     EXPECT_NE(make_schedule(sched_spec("schedule=0101"), 1), nullptr);
 }

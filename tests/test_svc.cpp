@@ -211,6 +211,29 @@ TEST(SvcConfig, KeysParse) {
                  std::invalid_argument);
 }
 
+TEST(SvcConfig, RetryAndArrivalParseWholeValues) {
+    // svc_load and the scheduled service share one retry parser, so each
+    // bad budget fails both; the budget must fit in 32 bits.
+    for (const char* retry : {"backoff:3x", "backoff:", "backoff:-1",
+                              "backoff: 3", "backoff:4294967296"}) {
+        config::Config c;
+        c.set("retry", retry);
+        EXPECT_THROW((void)svc_config_from(c), std::invalid_argument) << retry;
+        EXPECT_THROW((void)svc_harness_config_from(c), std::invalid_argument)
+            << retry;
+    }
+    EXPECT_EQ(retry_budget_from("none"), 0u);
+    EXPECT_EQ(retry_budget_from("backoff:4294967295"), 4294967295u);
+
+    for (const char* arrival :
+         {"open:1000abc", "open:", "open:inf", "open:nan", "open:1e999"}) {
+        config::Config c;
+        c.set("arrival", arrival);
+        EXPECT_THROW((void)svc_config_from(c), std::invalid_argument)
+            << arrival;
+    }
+}
+
 TEST(SvcConfig, ReproFlagsRoundTripEveryField) {
     // Every field off its default, so a key the echo drops reads back as
     // the default and fails its comparison.

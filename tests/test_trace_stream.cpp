@@ -82,18 +82,32 @@ MultiThreadTrace random_trace(std::uint64_t seed, std::size_t streams,
 }
 
 // ---------------------------------------------------------------------------
-// TraceSource registry and generator sources
+// TraceSource selection by name and generator sources
 // ---------------------------------------------------------------------------
 
-TEST(TraceSourceRegistry, ListsBuiltins) {
-    const auto names = trace_source_names();
-    ASSERT_EQ(names.size(), 4u);
-    EXPECT_EQ(names[0], "jbb");
-    EXPECT_EQ(names[1], "zipf");
-    EXPECT_EQ(names[2], "spec");
-    EXPECT_EQ(names[3], "file");
-    EXPECT_THROW((void)make_trace_source(cfg("source=nonesuch")),
-                 std::invalid_argument);
+TEST(TraceSource, ListsBuiltins) {
+    const std::vector<std::string> names = trace_source_names();
+    EXPECT_EQ(names, (std::vector<std::string>{"jbb", "zipf", "spec", "file"}));
+    TempFile file("lists_builtins");
+    save_binary_file(file.path, random_trace(3, 2, 50));
+    for (const std::string& name : names) {
+        const std::string spec =
+            name == "file" ? "source=file:" + file.path : "source=" + name;
+        const auto source =
+            make_trace_source(cfg(spec + " threads=2 accesses=50"));
+        ASSERT_NE(source, nullptr) << name;
+        EXPECT_GT(source->stream_count(), 0u) << name;
+    }
+    try {
+        (void)make_trace_source(cfg("source=nonesuch"));
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'nonesuch'"), std::string::npos) << what;
+        for (const std::string& name : names) {
+            EXPECT_NE(what.find(name), std::string::npos) << what;
+        }
+    }
     EXPECT_THROW((void)make_trace_source(cfg("source=jbb:arg")),
                  std::invalid_argument);
     EXPECT_THROW((void)make_trace_source(cfg("source=file")),

@@ -99,7 +99,7 @@ int cmd_generate(const Config& cli) {
     if (pos.size() < 3) return usage();
     const std::string& kind = pos[1];
 
-    // Build the source spec the registry understands, then stream it to
+    // Build the source spec make_trace_source understands, then stream it to
     // disk chunk-wise — no materialization, so --accesses=1e9 is fine.
     Config src;
     std::string out;
