@@ -12,7 +12,6 @@
 //   --threads=   max thread count; the sweep doubles 1,2,4,... up to it
 //                (default 8; must respect the backend's capacity)
 //   --ops=       operations per thread per point (default 20000, scaled)
-//   --duration_ms= wall-clock bound per point instead of an op budget
 //   plus the workload/STM shape keys (slots, tx_size, skew, entries, ...).
 #include <algorithm>
 #include <iostream>

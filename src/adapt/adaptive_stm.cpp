@@ -8,8 +8,10 @@
 //
 // Epoch protocol:
 //
-//   1. Every committed transaction advances the current epoch's counters.
-//      Every N commits (an epoch boundary) the policy (adapt/policy.hpp)
+//   1. Every attempt adds its outcome, its accesses (commits only), and
+//      the conflicts and clock CAS failures it counted to the current
+//      epoch's tallies when it commits or aborts. Every N commits (an
+//      epoch boundary) the policy (adapt/policy.hpp)
 //      examines the epoch sample; a switch decision is *staged* —
 //      published as a pending config, never applied in the commit path.
 //   2. A beginning transaction that sees a pending switch stands back
@@ -59,7 +61,7 @@ namespace tmb::stm::detail {
 
 namespace {
 
-/// One generation of the wrapped engine plus its epoch counters. Contexts
+/// One generation of the wrapped engine plus its epoch tallies. Contexts
 /// keep their generation alive via shared_ptr, so transactions that bound
 /// before a swap finish (and their contexts release engine slots) against
 /// the engine they started on.
@@ -71,10 +73,9 @@ struct EngineEpoch {
     std::atomic<std::uint64_t> commits{0};
     std::atomic<std::uint64_t> aborts{0};
     std::atomic<std::uint64_t> accesses{0};
-    /// Shared-counter baselines at epoch start, for delta sampling.
-    std::uint64_t base_true = 0;
-    std::uint64_t base_false = 0;
-    std::uint64_t base_clock_cas = 0;
+    std::atomic<std::uint64_t> true_conflicts{0};
+    std::atomic<std::uint64_t> false_conflicts{0};
+    std::atomic<std::uint64_t> clock_cas_failures{0};
 };
 
 class AdaptiveBackend;
@@ -84,7 +85,7 @@ class AdaptiveBackend;
 /// slot) before epoch_ drops the engine itself. An unparked context counts
 /// toward the policy's concurrency C; park/unpark forward to the inner
 /// context, so the inner TxId is taken in unpark, before begin takes an
-/// in-flight ticket.
+/// in-flight ticket. The inner context counts into this context's block.
 class AdaptCx final : public TxContext {
 public:
     explicit AdaptCx(AdaptiveBackend& owner);
@@ -98,16 +99,19 @@ public:
     std::unique_ptr<TxContext> inner_;
     std::uint64_t epoch_seq_ = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t attempt_accesses_ = 0;
+    /// counts.{true_conflicts, false_conflicts, clock_cas_failures} when
+    /// the attempt began.
+    std::uint64_t begin_true_ = 0;
+    std::uint64_t begin_false_ = 0;
+    std::uint64_t begin_clock_cas_ = 0;
     bool parked_ = false;
 };
 
 class AdaptiveBackend final : public Backend {
 public:
-    AdaptiveBackend(const StmConfig& config, Instrumentation& stats,
-                    ReclaimDomain& reclaim)
+    AdaptiveBackend(const StmConfig& config, ReclaimDomain& reclaim)
         : outer_(config),
           policy_(adapt::policy_config_from(config.adapt)),
-          stats_(stats),
           reclaim_(reclaim) {
         if (config.adapt.engine == BackendKind::kAdaptive) {
             throw std::invalid_argument(
@@ -117,7 +121,7 @@ public:
         initial_.backend = config.adapt.engine;
         auto first = std::make_shared<EngineEpoch>();
         first->cfg = initial_;
-        first->engine = make_backend(initial_, stats_, reclaim_);
+        first->engine = make_backend(initial_, reclaim_);
         capacity_ = first->engine->max_live_contexts();
         epoch_ = std::move(first);
         published_seq_.store(0, std::memory_order_release);
@@ -144,6 +148,9 @@ public:
             wait_and_bind(cx);
         }
         cx.attempt_accesses_ = 0;
+        cx.begin_true_ = cx.counts.true_conflicts;
+        cx.begin_false_ = cx.counts.false_conflicts;
+        cx.begin_clock_cas_ = cx.counts.clock_cas_failures;
         cx.epoch_->engine->begin(*cx.inner_);
     }
 
@@ -173,6 +180,7 @@ public:
         } else {
             epoch_aborts = ep.aborts.fetch_add(1, std::memory_order_relaxed) + 1;
         }
+        tally_conflicts(cx, ep);
         in_flight_.fetch_sub(1, std::memory_order_seq_cst);
         // Boundary check after the in-flight release: staging only sets a
         // flag, so this path never blocks and never yields.
@@ -189,6 +197,7 @@ public:
         ep.engine->abort(*cx.inner_);
         const std::uint64_t epoch_aborts =
             ep.aborts.fetch_add(1, std::memory_order_relaxed) + 1;
+        tally_conflicts(cx, ep);
         in_flight_.fetch_sub(1, std::memory_order_seq_cst);
         if (at_abort_boundary(epoch_aborts)) maybe_stage_switch(ep);
     }
@@ -218,6 +227,21 @@ public:
     std::atomic<std::uint32_t> live_contexts_{0};
 
 private:
+    /// Adds what the ending attempt counted since begin to the epoch's
+    /// tallies; conflict-free attempts touch no shared word.
+    static void tally_conflicts(const AdaptCx& cx, EngineEpoch& ep) {
+        const auto add = [](std::atomic<std::uint64_t>& tally,
+                            std::uint64_t now, std::uint64_t at_begin) {
+            if (now != at_begin) {
+                tally.fetch_add(now - at_begin, std::memory_order_relaxed);
+            }
+        };
+        add(ep.true_conflicts, cx.counts.true_conflicts, cx.begin_true_);
+        add(ep.false_conflicts, cx.counts.false_conflicts, cx.begin_false_);
+        add(ep.clock_cas_failures, cx.counts.clock_cas_failures,
+            cx.begin_clock_cas_);
+    }
+
     [[nodiscard]] bool at_epoch_boundary(std::uint64_t epoch_commits) const {
         if (policy_.kind == adapt::PolicyConfig::Kind::kOff) return false;
         return epoch_commits % policy_.epoch_commits == 0;
@@ -247,27 +271,23 @@ private:
         sample.aborts = ep.aborts.load(std::memory_order_relaxed);
         sample.accesses = ep.accesses.load(std::memory_order_relaxed);
         sample.true_conflicts =
-            stats_.true_conflicts.load(std::memory_order_relaxed) -
-            ep.base_true;
+            ep.true_conflicts.load(std::memory_order_relaxed);
         sample.false_conflicts =
-            stats_.false_conflicts.load(std::memory_order_relaxed) -
-            ep.base_false;
+            ep.false_conflicts.load(std::memory_order_relaxed);
         sample.clock_cas_failures =
-            stats_.clock_cas_failures.load(std::memory_order_relaxed) -
-            ep.base_clock_cas;
+            ep.clock_cas_failures.load(std::memory_order_relaxed);
         const std::uint32_t live =
             live_contexts_.load(std::memory_order_relaxed);
         sample.concurrency = live ? live : 1;
         auto next = adapt::decide(policy_, ep.cfg, initial_, sample);
         if (!next) {
-            // No change: reset the epoch counters in place so the next
-            // sample covers fresh commits only.
-            ep.commits.store(0, std::memory_order_relaxed);
-            ep.aborts.store(0, std::memory_order_relaxed);
-            ep.accesses.store(0, std::memory_order_relaxed);
-            ep.base_true += sample.true_conflicts;
-            ep.base_false += sample.false_conflicts;
-            ep.base_clock_cas += sample.clock_cas_failures;
+            // No change: reset the epoch tallies in place so the next
+            // sample covers fresh attempts only.
+            for (auto* tally : {&ep.commits, &ep.aborts, &ep.accesses,
+                                &ep.true_conflicts, &ep.false_conflicts,
+                                &ep.clock_cas_failures}) {
+                tally->store(0, std::memory_order_relaxed);
+            }
             return;
         }
         pending_cfg_ = *next;
@@ -279,7 +299,7 @@ private:
     /// (and the harness may cancel the run by throwing through the yield).
     void wait_and_bind(AdaptCx& cx) {
         while (pending_.load(std::memory_order_seq_cst)) {
-            if (try_swap()) break;
+            if (try_swap(cx)) break;
             // Someone is still in flight (or another thread owns the swap
             // lock): let them run. kRetry so PCT demotes this waiter.
             scheduler_yield(YieldPoint::kRetry, YieldSite::kAdaptDrain);
@@ -298,14 +318,16 @@ private:
             cx.inner_.reset();
             cx.epoch_ = ep;
             cx.inner_ = ep->engine->make_context();
+            cx.inner_->stats = &cx.counts;
             cx.epoch_seq_ = ep->seq;
         }
     }
 
     /// Attempts the staged swap. True when the pending flag is clear on
     /// return (this thread swapped, or another already had); false when the
-    /// caller should back off and retry (drain incomplete / lock busy).
-    bool try_swap() {
+    /// caller should back off and retry (drain incomplete / lock busy). A
+    /// swap counts in the swapping context's block.
+    bool try_swap(AdaptCx& cx) {
         std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
         if (!lock.owns_lock()) return false;
         if (!pending_.load(std::memory_order_seq_cst)) return true;
@@ -328,11 +350,11 @@ private:
         lock.lock();
         if (!pending_.load(std::memory_order_seq_cst)) return true;
         if (in_flight_.load(std::memory_order_seq_cst) != 0) return false;
-        perform_swap_locked();
+        perform_swap_locked(cx);
         return true;
     }
 
-    void perform_swap_locked() {
+    void perform_swap_locked(AdaptCx& cx) {
         EngineEpoch& old = *epoch_;
         // Quiescence is the protocol's hard invariant: zero transactions in
         // flight must mean zero metadata held. A violation here is a lost
@@ -351,15 +373,10 @@ private:
         auto next = std::make_shared<EngineEpoch>();
         next->seq = old.seq + 1;
         next->cfg = pending_cfg_;
-        next->engine = make_backend(pending_cfg_, stats_, reclaim_);
-        next->base_true = stats_.true_conflicts.load(std::memory_order_relaxed);
-        next->base_false =
-            stats_.false_conflicts.load(std::memory_order_relaxed);
-        next->base_clock_cas =
-            stats_.clock_cas_failures.load(std::memory_order_relaxed);
-        stats_.policy_switches.fetch_add(1, std::memory_order_relaxed);
+        next->engine = make_backend(pending_cfg_, reclaim_);
+        ++cx.counts.policy_switches;
         if (next->cfg.table.entries != old.cfg.table.entries) {
-            stats_.table_resizes.fetch_add(1, std::memory_order_relaxed);
+            ++cx.counts.table_resizes;
         }
         epoch_ = std::move(next);  // old epoch lives on via bound contexts
         published_seq_.store(epoch_->seq, std::memory_order_seq_cst);
@@ -369,7 +386,6 @@ private:
     StmConfig outer_;
     StmConfig initial_;  ///< concrete home shape (outer_ with adapt.engine)
     adapt::PolicyConfig policy_;
-    Instrumentation& stats_;
     ReclaimDomain& reclaim_;
     std::uint32_t capacity_ = 0;
 
@@ -404,9 +420,8 @@ void AdaptCx::unpark() {
 }  // namespace
 
 std::unique_ptr<Backend> make_adaptive_backend(const StmConfig& config,
-                                               Instrumentation& stats,
                                                ReclaimDomain& reclaim) {
-    return std::make_unique<AdaptiveBackend>(config, stats, reclaim);
+    return std::make_unique<AdaptiveBackend>(config, reclaim);
 }
 
 }  // namespace tmb::stm::detail

@@ -20,10 +20,6 @@ ParallelConfig parallel_config_from(const config::Config& cfg) {
     ParallelConfig out;
     out.threads = cfg.get_u32("threads", out.threads);
     out.ops_per_thread = cfg.get_u64("ops", out.ops_per_thread);
-    out.duration_ms = cfg.get_u32("duration_ms", out.duration_ms);
-    if (cfg.has("duration-ms")) {  // dashed-flag alias
-        out.duration_ms = cfg.get_u32("duration-ms", out.duration_ms);
-    }
     out.seed = cfg.get_u64("seed", out.seed);
     out.workload = cfg.get("workload", out.workload);
     return out;
@@ -85,20 +81,16 @@ ParallelResult ParallelRunner::run() {
     std::vector<std::exception_ptr> errors(n);
     std::atomic<bool> go{false};
 
-    // Instance-block snapshot so repeated run() calls report only their own
-    // conflict classification, not the Stm's cumulative history.
+    // Repeated run() calls report their own counters, not the Stm's
+    // cumulative history.
     const stm::StmStats before = stm_->stats();
-
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(config_.duration_ms);
-    const bool timed = config_.duration_ms > 0;
 
     std::vector<std::thread> threads;
     threads.reserve(n);
     for (std::uint32_t t = 0; t < n; ++t) {
         threads.emplace_back([&, t] {
-            // Start barrier: line every thread up before the clock matters,
-            // so short timed runs measure contention, not spawn skew.
+            // Start barrier: line every thread up before the clock starts,
+            // so short runs measure contention, not spawn skew.
             while (!go.load(std::memory_order_acquire)) {
                 std::this_thread::yield();
             }
@@ -106,16 +98,9 @@ ParallelResult ParallelRunner::run() {
             util::Xoshiro256& rng = rngs[t];
             std::uint64_t done = 0;  // thread-local; published once at exit
             try {
-                if (timed) {
-                    while (Clock::now() < deadline) {
-                        workload_->op(exec, rng);
-                        ++done;
-                    }
-                } else {
-                    for (std::uint64_t i = 0; i < config_.ops_per_thread; ++i) {
-                        workload_->op(exec, rng);
-                        ++done;
-                    }
+                for (std::uint64_t i = 0; i < config_.ops_per_thread; ++i) {
+                    workload_->op(exec, rng);
+                    ++done;
                 }
             } catch (...) {
                 errors[t] = std::current_exception();
@@ -135,31 +120,23 @@ ParallelResult ParallelRunner::run() {
     for (std::uint32_t t = 0; t < n; ++t) {
         result.ops += ops_done[t];
         result.per_thread.push_back(executors[t]->stats());
+        result.stats.attempts_per_commit.merge(
+            result.per_thread.back().attempts_per_commit);
     }
-    // Shards are snapshotted; destroy the executors NOW so their contexts
-    // retire — buffered retired blocks reach the shards (the pending==0
-    // check below needs them) and locally accumulated allocator counters
-    // land in the domain before the `after` snapshot.
+    // Destroy the executors NOW: their blocks join the Stm's retired total,
+    // their buffered retired blocks reach the shards (the pending==0 check
+    // below needs them), and their allocator counters land in the domain.
     executors.clear();
-
-    // Merge: shards carry the engine threads' commit/abort counts; the
-    // backend's conflict classification, the TL2 counters the contexts
-    // folded in as they retired, and the allocator's domain-wide counters
-    // land in the instance block, so fold in this run's delta of every
-    // counter there.
-    for (const stm::StmStats& shard : result.per_thread) {
-        result.stats.merge(shard);
-    }
     const stm::StmStats after = stm_->stats();
     for (const auto field : stm::StmStats::counters()) {
-        result.stats.*field += after.*field - before.*field;
+        result.stats.*field = after.*field - before.*field;
     }
 
     lifetime_ops_ += result.ops;
     lifetime_stats_.merge(result.stats);
 
-    // Rethrow only after the merge above: the surviving threads' shards
-    // (commit/abort/attempt counts) must reach lifetime_stats_ even when a
+    // Rethrow only after the merge above: the surviving threads' counts
+    // (commits, aborts, attempts) must reach lifetime_stats_ even when a
     // worker threw — rethrowing first used to lose every histogram of the
     // run. The quiescence checks below stay off the error path; they would
     // report the interrupted run, not the bug that interrupted it.

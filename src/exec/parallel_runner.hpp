@@ -11,14 +11,13 @@
 //     table TxId per thread, acquired once, not per transaction);
 //   * non-overlapping per-thread RNG substreams via Xoshiro256::jump()
 //     (thread t's stream starts 2^128·t steps into the seed's sequence);
-//   * per-thread Instrumentation shards, merged into one StmStats at join —
+//   * per-thread counters: each Executor counts into its own context, so
 //     the hot path touches no shared counter;
 //   * everything selected by name: `--backend=`/`--table=` pick the STM,
 //     `--workload=` picks the closure, exactly like every other driver.
 //
 // The run is bounded by an operation budget (`--ops=`, per thread;
-// deterministic for 1 thread) or by wall-clock time (`--duration-ms=`,
-// throughput mode).
+// deterministic for 1 thread).
 #pragma once
 
 #include <cstdint>
@@ -36,23 +35,20 @@ namespace tmb::exec {
 /// Config (stm::stm_config_from, make_workload).
 struct ParallelConfig {
     std::uint32_t threads = 4;
-    /// Operations per thread (ignored when duration_ms > 0).
     std::uint64_t ops_per_thread = 10000;
-    /// Wall-clock bound in milliseconds; 0 = use the ops budget.
-    std::uint32_t duration_ms = 0;
     std::uint64_t seed = 0x5eed0eec0ffeeULL;
     std::string workload = "counters";
 };
 
-/// Parses engine keys: `threads`, `ops`, `duration_ms`, `seed`, `workload`.
+/// Parses engine keys: `threads`, `ops`, `seed`, `workload`.
 [[nodiscard]] ParallelConfig parallel_config_from(const config::Config& cfg);
 
 /// Outcome of one engine run.
 struct ParallelResult {
-    /// Engine-wide stats: per-thread shards merged with the Stm instance
-    /// block (which carries the backend's true/false conflict counts).
+    /// This run's counters: the run's delta of Stm::stats() (the threads'
+    /// Executors are retired by then) with their attempts histograms.
     stm::StmStats stats;
-    /// Each thread's private shard, in thread order.
+    /// Each thread's Executor::stats(), in thread order.
     std::vector<stm::StmStats> per_thread;
     std::uint64_t ops = 0;               ///< completed operations (== commits)
     double elapsed_seconds = 0.0;        ///< spawn-to-join wall clock
@@ -81,12 +77,12 @@ public:
     ParallelRunner(const ParallelRunner&) = delete;
     ParallelRunner& operator=(const ParallelRunner&) = delete;
 
-    /// Spawns the threads, drives the workload, joins, merges shards, and
-    /// checks the workload invariant (throws std::runtime_error if the
-    /// backend lost or doubled an update). Callable repeatedly: the
-    /// workload state persists, so the invariant is verified against the
-    /// runner-lifetime operation total; each result reports its own run's
-    /// shards and wall clock.
+    /// Spawns the threads, drives the workload, joins, retires the
+    /// Executors, and checks the workload invariant (throws
+    /// std::runtime_error if the backend lost or doubled an update).
+    /// Callable repeatedly: the workload state persists, so the invariant
+    /// is verified against the runner-lifetime operation total; each
+    /// result reports its own run's counters and wall clock.
     [[nodiscard]] ParallelResult run();
 
     [[nodiscard]] const ParallelConfig& config() const noexcept {
@@ -95,11 +91,10 @@ public:
     [[nodiscard]] stm::Stm& stm() noexcept { return *stm_; }
     [[nodiscard]] Workload& workload() noexcept { return *workload_; }
 
-    /// Runner-lifetime stats: every run() call's merged shards and instance
-    /// deltas, including runs that ended by rethrowing a worker exception.
-    /// The shards are merged before the rethrow, so the surviving threads'
-    /// commit/abort/attempt counts are observable here even when run()
-    /// never returned a ParallelResult.
+    /// Runner-lifetime stats: every run() call's counters, including runs
+    /// that ended by rethrowing a worker exception. They are merged before
+    /// the rethrow, so the surviving threads' commit/abort/attempt counts
+    /// are observable here even when run() never returned a ParallelResult.
     [[nodiscard]] const stm::StmStats& lifetime_stats() const noexcept {
         return lifetime_stats_;
     }

@@ -853,135 +853,9 @@ private:
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// phases — rotating contention regimes for the adaptive runtime
-// ---------------------------------------------------------------------------
-
-PhaseWorkload::PhaseWorkload(std::uint64_t slots, std::uint32_t tx_size,
-                             std::uint32_t scan_tx_size, double skew,
-                             std::uint64_t phase_ops,
-                             std::uint32_t yield_every)
-    : slots_(slots),
-      sampler_(slots, skew),
-      tx_size_(tx_size),
-      scan_tx_size_(scan_tx_size),
-      phase_ops_(phase_ops),
-      yield_every_(yield_every) {
-    if (slots == 0) throw std::invalid_argument("workload slots must be > 0");
-    check_tx_size(tx_size);
-    check_tx_size(scan_tx_size);
-}
-
-void PhaseWorkload::set_phase(std::uint32_t phase) {
-    phase_.store(phase % kPhases, std::memory_order_relaxed);
-}
-
-std::uint32_t PhaseWorkload::phase() const noexcept {
-    if (phase_ops_ == 0) return phase_.load(std::memory_order_relaxed);
-    return static_cast<std::uint32_t>(
-        (ops_issued_.load(std::memory_order_relaxed) / phase_ops_) % kPhases);
-}
-
-void PhaseWorkload::op(stm::Executor& exec, util::Xoshiro256& rng) {
-    const std::uint32_t ph =
-        phase_ops_ == 0
-            ? phase_.load(std::memory_order_relaxed)
-            : static_cast<std::uint32_t>(
-                  (ops_issued_.fetch_add(1, std::memory_order_relaxed) /
-                   phase_ops_) %
-                  kPhases);
-    // Operands drawn before the transaction: a retry re-runs the same
-    // logical operation, and rng advances once per op.
-    std::uint64_t picks[kMaxTxSize];
-    std::uint32_t n = 0;
-    std::uint64_t writes = 0;
-    const std::uint32_t yield_every = yield_every_;
-    const auto maybe_yield = [yield_every](std::uint32_t i) {
-        if (yield_every != 0 && (i + 1) % yield_every == 0) {
-            std::this_thread::yield();
-        }
-    };
-    switch (ph) {
-        case 0:  // uniform increments, small footprint
-            n = tx_size_;
-            writes = tx_size_;
-            for (std::uint32_t i = 0; i < n; ++i) {
-                picks[i] = rng.below(slots_.size());
-            }
-            exec.atomically([&](stm::Transaction& tx) {
-                for (std::uint32_t i = 0; i < n; ++i) {
-                    auto& slot = slots_[picks[i]];
-                    slot.write(tx, slot.read(tx) + 1);
-                    maybe_yield(i);
-                }
-            });
-            break;
-        case 1:  // Zipf hot spot: one hot increment *first* (an eager
-                 // engine then holds the hot block across the rest of the
-                 // body; lazy acquisition shrinks the window to the commit),
-                 // then Zipf reads.
-            n = tx_size_;
-            writes = 1;
-            for (std::uint32_t i = 0; i < n; ++i) {
-                picks[i] = sampler_.sample(rng);
-            }
-            exec.atomically([&](stm::Transaction& tx) {
-                auto& hot = slots_[picks[0]];
-                hot.write(tx, hot.read(tx) + 1);
-                maybe_yield(0);
-                std::uint64_t acc = 0;
-                for (std::uint32_t i = 1; i < n; ++i) {
-                    acc += slots_[picks[i]].read(tx);
-                    maybe_yield(i);
-                }
-                (void)acc;
-            });
-            break;
-        default:  // scan: large uniform footprint, one increment
-            n = scan_tx_size_;
-            writes = 1;
-            for (std::uint32_t i = 0; i < n; ++i) {
-                picks[i] = rng.below(slots_.size());
-            }
-            exec.atomically([&](stm::Transaction& tx) {
-                std::uint64_t acc = 0;
-                for (std::uint32_t i = 0; i + 1 < n; ++i) {
-                    acc += slots_[picks[i]].read(tx);
-                    maybe_yield(i);
-                }
-                (void)acc;
-                auto& last = slots_[picks[n - 1]];
-                last.write(tx, last.read(tx) + 1);
-            });
-            break;
-    }
-    // Post-commit: the attempt that reaches here committed exactly once.
-    increments_.fetch_add(writes, std::memory_order_relaxed);
-}
-
-void PhaseWorkload::verify(std::uint64_t committed_ops) const {
-    (void)committed_ops;  // increments per op vary by phase
-    std::uint64_t sum = 0;
-    for (const auto& s : slots_) sum += s.unsafe_read();
-    const std::uint64_t expected = increments_.load(std::memory_order_relaxed);
-    if (sum != expected) {
-        throw std::runtime_error(
-            "phases invariant violated: slot sum " + std::to_string(sum) +
-            " != committed increments " + std::to_string(expected));
-    }
-}
-
-std::uint64_t PhaseWorkload::state_hash() const {
-    std::uint64_t h = 0;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        h += slot_digest(i, slots_[i].unsafe_read());
-    }
-    return h;
-}
-
 std::vector<std::string> workload_names() {
-    return {"counters", "zipf",     "bank",   "replay",
-            "phases",   "vacation", "kmeans", "pipeline"};
+    return {"counters", "zipf",   "bank",    "replay",
+            "vacation", "kmeans", "pipeline"};
 }
 
 std::unique_ptr<Workload> make_workload(const config::Config& cfg) {
@@ -1004,14 +878,6 @@ std::unique_ptr<Workload> make_workload(const config::Config& cfg) {
         return std::make_unique<ReplayWorkload>(
             std::move(source), cfg.get_u64("slots", 1u << 16),
             cfg.get_u32("tx_size", 16));
-    }
-    if (name == "phases") {
-        auto w = std::make_unique<PhaseWorkload>(
-            cfg.get_u64("slots", 1u << 16), cfg.get_u32("tx_size", 4),
-            cfg.get_u32("scan_tx", 32), cfg.get_double("skew", 0.99),
-            cfg.get_u64("phase_ops", 0), cfg.get_u32("yield_every", 0));
-        w->set_phase(cfg.get_u32("phase", 0));
-        return w;
     }
     if (name == "vacation") {
         return std::make_unique<VacationWorkload>(

@@ -270,6 +270,7 @@ RunResult run_schedule(const HarnessConfig& cfg,
     // can host many dyn runs in sequence.
     LifetimeTracker tracker;
     const stm::ReclaimStats reclaim_before = tm.reclaim_stats();
+    const stm::StmStats stats_before = tm.stats();
     struct ObserverGuard {
         stm::Stm* tm = nullptr;
         ~ObserverGuard() {
@@ -429,10 +430,15 @@ RunResult run_schedule(const HarnessConfig& cfg,
     }
     result.state_hash = h;
 
-    result.stats = tm.stats();  // conflict classification (instance block)
-    for (const auto& exec : executors) {
-        result.stats.merge(exec->stats());  // commits/aborts (shards)
+    // This run's counts: the live executors' blocks, plus what the Stm's
+    // view grew by (dyn mode's pooled seeding transactions and the
+    // allocator counters, read before the executors retire). The attempts
+    // histogram covers the executors' transactions.
+    const stm::StmStats stats_after = tm.stats();
+    for (const auto field : stm::StmStats::counters()) {
+        result.stats.*field = stats_after.*field - stats_before.*field;
     }
+    for (const auto& exec : executors) result.stats.merge(exec->stats());
     result.signature = coverage.signature(result.stats);
     // Retire the executor contexts before the dyn balance check: their
     // buffered retired blocks must reach the shards for the full drain

@@ -177,12 +177,11 @@ struct RunResult : RunTrace {
 
 /// Same, over a caller-owned Stm — the engine's state (ownership metadata
 /// must be quiescent, but an adaptive backend's mounted engine shape and
-/// cumulative instance counters persist) carries across calls. This is how
-/// the phase-change experiments measure the adaptive runtime *across* runs:
+/// Stm::stats() persist) carries across calls. This is how the
+/// phase-change experiments measure the adaptive runtime *across* runs:
 /// the shape it adapted to in one run is the shape the next run starts on.
-/// `cfg.txs_per_thread` must equal each thread's program count, and
-/// `result.stats`'s instance-block counters are engine-lifetime totals, not
-/// per-run deltas.
+/// `cfg.txs_per_thread` must equal each thread's program count.
+/// `result.stats` counts this run only; Stm::stats() sums the runs.
 [[nodiscard]] RunResult run_schedule(
     const HarnessConfig& cfg,
     const std::vector<std::vector<TxProgram>>& programs, Schedule& schedule,

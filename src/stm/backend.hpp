@@ -2,10 +2,11 @@
 //
 // A backend owns the conflict-detection metadata (ownership table or
 // versioned locks) and implements the transactional load/store/commit
-// protocol. A TxContext carries one transaction's logs; contexts are
-// backend-specific and reused across retries and transactions. An Executor
-// holds one for life; Stm::atomically draws one from a pool per call,
-// unparking it on the way out of the pool and parking it on the way back.
+// protocol. A TxContext carries one transaction's logs and counters;
+// contexts are backend-specific and reused across retries and
+// transactions. An Executor holds one for life; Stm::atomically draws one
+// from a pool per call, unparking it on the way out of the pool and
+// parking it on the way back.
 //
 // Protocol per attempt:
 //   begin(cx) → { load/store }* → commit(cx) → true
@@ -20,7 +21,6 @@
 #include <memory>
 #include <string>
 
-#include "stm/instrumentation.hpp"
 #include "stm/stm.hpp"
 #include "stm/txalloc.hpp"
 
@@ -29,18 +29,27 @@ namespace tmb::stm::detail {
 /// Per-transaction state; concrete type owned by the backend.
 class TxContext {
 public:
+    TxContext() = default;
+    TxContext(const TxContext&) = delete;  // `stats` may point into it
+    TxContext& operator=(const TxContext&) = delete;
     virtual ~TxContext();
 
     /// A parked context sits in Stm::atomically's pool between calls and
-    /// holds nothing shared: park() folds locally accumulated counters into
-    /// the backend's Instrumentation block (hot paths never touch a shared
-    /// counter, so such counters are exact at quiescent points) and gives
-    /// back engine resources such as a table's TxId; unpark() takes them
-    /// again and may wait for a free TxId. A context starts unparked, and
-    /// the runtime never parks an Executor's, so an Executor keeps its TxId
-    /// for life.
+    /// holds nothing shared: park() gives back engine resources such as a
+    /// table's TxId; unpark() takes them again and may wait for a free
+    /// TxId. A context starts unparked, and the runtime never parks an
+    /// Executor's, so an Executor keeps its TxId for life.
     virtual void park() noexcept {}
     virtual void unpark() {}
+
+    /// This context's counters. Only the thread running the context writes
+    /// them, with plain increments; Stm::stats() reads them while the
+    /// context is parked and adds them to the retired total when it is
+    /// destroyed.
+    StmStats counts;
+    /// Where the engine counts: `counts`, except in the adaptive wrapper's
+    /// inner contexts, which count into their wrapper context's block.
+    StmStats* stats = &counts;
 
     /// Binds this context to the runtime's reclamation domain: registers
     /// an epoch pin slot, sizes the free-block cache, assigns a retirement
@@ -129,17 +138,16 @@ inline constexpr std::uint32_t kTaglessInlineBlocks = 64;
 /// adaptive wrapper uses the reclamation domain: it drains it before
 /// retiring a swapped-out engine.
 [[nodiscard]] std::unique_ptr<Backend> make_backend(const StmConfig& config,
-                                                    Instrumentation& stats,
                                                     ReclaimDomain& reclaim);
 
 // The engines behind make_backend, one per translation unit.
-[[nodiscard]] std::unique_ptr<Backend> make_tl2_backend(const StmConfig& config,
-                                                        Instrumentation& stats);
+[[nodiscard]] std::unique_ptr<Backend> make_tl2_backend(
+    const StmConfig& config);
 [[nodiscard]] std::unique_ptr<Backend> make_table_backend(
-    const StmConfig& config, Instrumentation& stats);
+    const StmConfig& config);
 /// The epoch-based policy layer (src/adapt/adaptive_stm.cpp); wraps a
 /// concrete engine per StmConfig::adapt.
 [[nodiscard]] std::unique_ptr<Backend> make_adaptive_backend(
-    const StmConfig& config, Instrumentation& stats, ReclaimDomain& reclaim);
+    const StmConfig& config, ReclaimDomain& reclaim);
 
 }  // namespace tmb::stm::detail

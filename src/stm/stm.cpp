@@ -15,27 +15,6 @@ namespace tmb::stm {
 
 namespace {
 
-/// Value-type snapshot of an instrumentation block (instance-wide or an
-/// executor shard).
-[[nodiscard]] StmStats snapshot(const detail::Instrumentation& in) noexcept {
-    StmStats out;
-    out.commits = in.commits.load(std::memory_order_relaxed);
-    out.aborts = in.aborts.load(std::memory_order_relaxed);
-    out.explicit_retries = in.explicit_retries.load(std::memory_order_relaxed);
-    out.true_conflicts = in.true_conflicts.load(std::memory_order_relaxed);
-    out.false_conflicts = in.false_conflicts.load(std::memory_order_relaxed);
-    out.tl2_read_set_entries =
-        in.tl2_read_set_entries.load(std::memory_order_relaxed);
-    out.tl2_validation_checks =
-        in.tl2_validation_checks.load(std::memory_order_relaxed);
-    out.clock_cas_failures =
-        in.clock_cas_failures.load(std::memory_order_relaxed);
-    out.policy_switches = in.policy_switches.load(std::memory_order_relaxed);
-    out.table_resizes = in.table_resizes.load(std::memory_order_relaxed);
-    out.attempts_per_commit = in.attempts_histogram();
-    return out;
-}
-
 [[nodiscard]] ContentionPolicy contention_policy_from(std::string_view name) {
     if (name == "backoff" || name == "exponential") {
         return ContentionPolicy::kExponentialBackoff;
@@ -156,15 +135,14 @@ StmConfig stm_config_from(const config::Config& cfg) {
 namespace detail {
 
 std::unique_ptr<Backend> make_backend(const StmConfig& config,
-                                      Instrumentation& stats,
                                       ReclaimDomain& reclaim) {
     switch (config.backend) {
-        case BackendKind::kTl2: return make_tl2_backend(config, stats);
+        case BackendKind::kTl2: return make_tl2_backend(config);
         case BackendKind::kTaglessTable:
         case BackendKind::kTaggedTable:
-            return make_table_backend(config, stats);
+            return make_table_backend(config);
         case BackendKind::kAdaptive:
-            return make_adaptive_backend(config, stats, reclaim);
+            return make_adaptive_backend(config, reclaim);
     }
     throw std::invalid_argument("unknown STM backend kind");
 }
@@ -201,7 +179,7 @@ public:
                 ? config_.reclaim_shards
                 : std::max(1u, std::thread::hardware_concurrency());
         reclaim_.configure(config_.cache_blocks, shards);
-        backend_ = detail::make_backend(config_, stats_, reclaim_);
+        backend_ = detail::make_backend(config_, reclaim_);
         // Full capacity up front: release_context's push_back must not
         // throw (it runs inside a scope guard, possibly mid-unwind).
         context_pool_.reserve(kMaxPooledContexts);
@@ -236,18 +214,36 @@ public:
 
     void release_context(std::unique_ptr<detail::TxContext> cx) {
         // Flush buffered retired blocks into their shard so a pooled
-        // context never sits on unreclaimable memory; park() then folds its
-        // counters and gives back its TxId.
+        // context never sits on unreclaimable memory; park() then gives
+        // back its TxId.
         reclaim_.flush_context(*cx);
         cx->park();
         const std::lock_guard<std::mutex> guard(pool_mutex_);
         if (context_pool_.size() < kMaxPooledContexts) {
             context_pool_.push_back(std::move(cx));
+        } else {
+            retired_.merge(cx->counts);  // `cx` dies after the guard releases
         }
     }
 
+    /// Adds a context's block to the retired total; the context is about
+    /// to be destroyed (an Executor's).
+    void retire(const StmStats& counts) {
+        const std::lock_guard<std::mutex> guard(pool_mutex_);
+        retired_.merge(counts);
+    }
+
+    /// The retired total plus every parked context's block. A parked
+    /// context has no running thread, and the pool mutex orders its last
+    /// writes before this read.
+    [[nodiscard]] StmStats stats() {
+        const std::lock_guard<std::mutex> guard(pool_mutex_);
+        StmStats out = retired_;
+        for (const auto& cx : context_pool_) out.merge(cx->counts);
+        return out;
+    }
+
     StmConfig config_;
-    detail::Instrumentation stats_;
     // Declared before backend_ (and the pool below): contexts unregister
     // their pin slots and the adaptive wrapper drains retired blocks, so
     // the domain must be destroyed after both.
@@ -257,8 +253,9 @@ public:
 
 private:
     static constexpr std::size_t kMaxPooledContexts = 64;
-    std::mutex pool_mutex_;
+    std::mutex pool_mutex_;  ///< guards context_pool_ and retired_
     std::vector<std::unique_ptr<detail::TxContext>> context_pool_;
+    StmStats retired_;
 };
 
 Stm::Stm(StmConfig config) : impl_(std::make_unique<Impl>(std::move(config))) {}
@@ -269,10 +266,9 @@ std::unique_ptr<Stm> Stm::create(const config::Config& cfg) {
 }
 
 StmStats Stm::stats() const noexcept {
-    StmStats out = snapshot(impl_->stats_);
-    // Allocator counters live on the reclamation domain (they are not
-    // per-executor-sharded like Instrumentation), so the instance snapshot
-    // carries them for Executor-run transactions too.
+    StmStats out = impl_->stats();
+    // Allocator counters live on the reclamation domain, not in a context,
+    // so the instance view carries them for Executor-run transactions too.
     const ReclaimStats reclaim = impl_->reclaim_.stats();
     out.alloc_cache_hits = reclaim.alloc_cache_hits;
     out.alloc_cache_misses = reclaim.alloc_cache_misses;
@@ -301,14 +297,15 @@ void Stm::run(detail::BodyRef body) {
         std::unique_ptr<detail::TxContext>* cx;
         ~Return() { impl->release_context(std::move(*cx)); }
     } ret{impl_.get(), &cx};
-    run_in(body, *cx, impl_->stats_,
+    run_in(body, *cx,
            impl_->cm_seed_.fetch_add(0x9e3779b97f4a7c15ULL,
                                      std::memory_order_relaxed));
 }
 
 void Stm::run_in(detail::BodyRef body, detail::TxContext& cx,
-                 detail::Instrumentation& stats, std::uint64_t cm_seed) {
+                 std::uint64_t cm_seed) {
     detail::Backend& backend = *impl_->backend_;
+    StmStats& stats = cx.counts;
     detail::ReclaimDomain& reclaim = impl_->reclaim_;
     ContentionManager cm(impl_->config_.contention, cm_seed);
 
@@ -335,9 +332,8 @@ void Stm::run_in(detail::BodyRef body, detail::TxContext& cx,
         } catch (const detail::ConflictAbort& conflict) {
             backend.abort(cx);
             reclaim.rollback(cx);
-            auto& counter = conflict.user_requested ? stats.explicit_retries
-                                                    : stats.aborts;
-            counter.fetch_add(1, std::memory_order_relaxed);
+            ++(conflict.user_requested ? stats.explicit_retries
+                                       : stats.aborts);
             if (impl_->config_.max_attempts != 0 &&
                 attempts >= impl_->config_.max_attempts) {
                 throw TooMuchContention(attempts);
@@ -367,7 +363,7 @@ void Stm::run_in(detail::BodyRef body, detail::TxContext& cx,
             return;
         }
         reclaim.rollback(cx);
-        stats.aborts.fetch_add(1, std::memory_order_relaxed);
+        ++stats.aborts;
         if (impl_->config_.max_attempts != 0 &&
             attempts >= impl_->config_.max_attempts) {
             throw TooMuchContention(attempts);
@@ -408,7 +404,7 @@ Executor::Executor(Stm& stm)
       cm_seed_(stm.impl_->cm_seed_.fetch_add(0x9e3779b97f4a7c15ULL,
                                              std::memory_order_relaxed)) {}
 
-Executor::~Executor() = default;
+Executor::~Executor() { stm_.impl_->retire(cx_->counts); }
 
 void Executor::run(detail::BodyRef body) {
     // Iterated-mix64 walk from this executor's private starting point — no
@@ -416,9 +412,9 @@ void Executor::run(detail::BodyRef body) {
     // the same additive constant) no two executors' seed sequences lie on
     // one arithmetic progression, so their backoff jitter never locks step.
     cm_seed_ = util::mix64(cm_seed_);
-    stm_.run_in(body, *cx_, shard_, cm_seed_);
+    stm_.run_in(body, *cx_, cm_seed_);
 }
 
-StmStats Executor::stats() const noexcept { return snapshot(shard_); }
+StmStats Executor::stats() const noexcept { return cx_->counts; }
 
 }  // namespace tmb::stm

@@ -34,6 +34,7 @@
 // isolation makes tagless tables even less tenable).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <concepts>
 #include <cstdint>
@@ -50,7 +51,6 @@
 #include "config/config.hpp"
 #include "ownership/ownership.hpp"
 #include "stm/contention.hpp"
-#include "stm/instrumentation.hpp"
 #include "stm/txalloc.hpp"
 #include "util/histogram.hpp"
 
@@ -181,7 +181,9 @@ struct StmConfig {
 ///   max_entries  table growth cap for birthday-model resizes (default 4m)
 [[nodiscard]] StmConfig stm_config_from(const config::Config& cfg);
 
-/// Counters exposed by Stm::stats(). Snapshot semantics; monotonic.
+/// The STM's counters. Every transaction counts into its own context's
+/// block with plain increments (one writer: the thread running it);
+/// Executor::stats() and Stm::stats() hand out copies and sums of blocks.
 struct StmStats {
     std::uint64_t commits = 0;
     std::uint64_t aborts = 0;            ///< conflict-induced aborts
@@ -196,13 +198,12 @@ struct StmStats {
     /// re-read of a stripe adds nothing) and lock words examined by
     /// commit-time validation / read-version extension. Validation work per
     /// transaction equals the unique-stripe count, not the load count.
-    /// Accumulated per context and folded in when the context parks (end
-    /// of an Stm::atomically call) or retires (Executor destruction): exact
-    /// at quiescent points, possibly stale while executors are live.
     std::uint64_t tl2_read_set_entries = 0;
     std::uint64_t tl2_validation_checks = 0;
     /// TL2 only: failed CAS iterations advancing the global version clock
-    /// (see Instrumentation::clock_cas_failures).
+    /// (the gv5 conflict path and failed gv1-style publishes). The clock
+    /// cache line is the hottest contended word in classic TL2; this is
+    /// the adaptive layer's signal for gv5 vs gv1 selection.
     std::uint64_t clock_cas_failures = 0;
     /// Adaptive backend only: completed engine swaps, and the subset that
     /// changed the ownership-table entry count.
@@ -213,16 +214,27 @@ struct StmStats {
     /// many retire-buffer batches were parked in a shard, and every
     /// acquisition of any reclamation-domain mutex (epoch registry, shard,
     /// depot) — the lock-pressure metric the free-block cache is meant to
-    /// crush. Domain-wide, so Stm::stats() reports them even for
-    /// Executor-run transactions; exact at quiescent points.
+    /// crush. These four live on the reclamation domain, not in a context:
+    /// Stm::stats() fills them in (for Executor-run transactions too) and
+    /// Executor::stats() leaves them 0. Exact at quiescent points.
     std::uint64_t alloc_cache_hits = 0;
     std::uint64_t alloc_cache_misses = 0;
     std::uint64_t reclaim_shard_flushes = 0;
     std::uint64_t domain_mutex_acquires = 0;
     /// Attempts-per-committed-transaction distribution (bucket = attempt
     /// count, 1 = first-try commit); the user-visible retry cost of the
-    /// conflicts — false ones included — that the paper models.
-    util::Histogram attempts_per_commit{32};
+    /// conflicts — false ones included — that the paper models. Commits
+    /// that needed more than kMaxTrackedAttempts land in the overflow
+    /// bucket as kMaxTrackedAttempts + 1.
+    static constexpr std::uint32_t kMaxTrackedAttempts = 32;
+    util::Histogram attempts_per_commit{kMaxTrackedAttempts};
+
+    /// Records a commit that succeeded on attempt `attempts` (>= 1).
+    void record_commit(std::uint32_t attempts) {
+        ++commits;
+        attempts_per_commit.add(
+            std::clamp(attempts, 1u, kMaxTrackedAttempts + 1));
+    }
 
     /// Mean attempts a committed transaction needed (1.0 = no retries).
     [[nodiscard]] double mean_attempts() const noexcept {
@@ -252,9 +264,8 @@ struct StmStats {
         };
     }
 
-    /// Accumulates `other` into this snapshot (counters sum, histograms
-    /// merge). The execution engine uses this to fold per-thread Executor
-    /// shards into one engine-wide StmStats at join time.
+    /// Accumulates `other` into this block (counters sum, histograms
+    /// merge).
     void merge(const StmStats& other) {
         for (const auto field : counters()) this->*field += other.*field;
         attempts_per_commit.merge(other.attempts_per_commit);
@@ -510,9 +521,8 @@ public:
     ///
     /// Each call borrows a context from the instance's pool (for table
     /// backends it takes a transaction slot for the call's duration and
-    /// gives it back after), so the steady state allocates nothing. It
-    /// records into the instance-wide counters; an Executor skips the pool
-    /// and keeps its counters in a private shard.
+    /// gives it back after), so the steady state allocates nothing. The
+    /// call counts into the borrowed context's block (see stats()).
     template <typename F>
         requires std::invocable<F&, Transaction&>
     decltype(auto) atomically(F&& fn) {
@@ -537,10 +547,12 @@ public:
     /// was lost. The execution engine asserts this after every run.
     [[nodiscard]] std::uint64_t occupied_metadata_entries() const noexcept;
 
-    /// Counters for transactions run through Stm::atomically() plus the
-    /// backend's conflict classification (which covers Executor-run
-    /// transactions too); Executor commit/abort counts live in the
-    /// executors' own shards — merge() them in for an engine-wide view.
+    /// The sum of every context's block except those of live Executors:
+    /// the pooled contexts of atomically() calls plus every context
+    /// retired so far (destroyed Executors, and pooled contexts dropped
+    /// when the pool was full), with the reclamation domain's allocator
+    /// counters. Once every Executor is gone it covers every transaction
+    /// the instance ran; while one lives, merge() its stats() in.
     [[nodiscard]] StmStats stats() const noexcept;
     [[nodiscard]] const StmConfig& config() const noexcept;
 
@@ -568,10 +580,10 @@ private:
 
     void run(detail::BodyRef body);
 
-    /// One attempt loop: begin/body/commit with retries, recording into
-    /// `stats` (an executor's shard or the instance-wide block).
+    /// One attempt loop: begin/body/commit with retries, counting into
+    /// `cx`'s block.
     void run_in(detail::BodyRef body, detail::TxContext& cx,
-                detail::Instrumentation& stats, std::uint64_t cm_seed);
+                std::uint64_t cm_seed);
 
     class Impl;
     std::unique_ptr<Impl> impl_;
@@ -586,9 +598,8 @@ private:
 ///     Stm::atomically contexts hold none between calls, so Executors
 ///     created one after another on a quiet Stm bind TxIds 0, 1, 2, ...),
 ///     and
-///   * records commits/aborts/attempt histograms into a private
-///     Instrumentation shard — no shared counter is touched on the commit
-///     fast path; shards are merged (StmStats::merge) after join.
+///   * counts into that context's block, which its destructor adds to the
+///     Stm's retired total (Stm::stats()).
 ///
 /// An Executor must be used by one thread at a time; distinct Executors of
 /// one Stm may run fully concurrently. It must not outlive its Stm.
@@ -607,7 +618,10 @@ public:
             [this](detail::BodyRef body) { run(body); }, std::forward<F>(fn));
     }
 
-    /// Snapshot of this executor's private shard only.
+    /// This executor's own counters: every transaction it ran, conflicts
+    /// and engine counters included. The allocator counters stay 0 (they
+    /// live on the reclamation domain; see Stm::stats()). Read it from the
+    /// thread that runs the executor, or after joining that thread.
     [[nodiscard]] StmStats stats() const noexcept;
 
 private:
@@ -618,7 +632,6 @@ private:
 
     Stm& stm_;
     std::unique_ptr<detail::TxContext> cx_;
-    detail::Instrumentation shard_;
     std::uint64_t cm_seed_;
 };
 

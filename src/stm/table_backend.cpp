@@ -229,9 +229,8 @@ public:
 template <typename Ownership, bool kLazy>
 class TableBackend final : public Backend {
 public:
-    TableBackend(const StmConfig& config, Instrumentation& stats)
-        : stats_(stats),
-          block_shift_(util::log2_pow2(util::next_pow2(config.block_bytes))),
+    explicit TableBackend(const StmConfig& config)
+        : block_shift_(util::log2_pow2(util::next_pow2(config.block_bytes))),
           ownership_(config.table),
           slots_(kMaxAtomicTx) {}
 
@@ -344,9 +343,9 @@ private:
     }
 
     /// True: `cx` holds `block` in `mode`. False: a conflict, classified and
-    /// counted; the caller aborts. The test-only ignore fault turns a
-    /// conflict into `true` without recording ownership — dirty reads and
-    /// racy writes, which the sched oracle must catch.
+    /// counted in `cx`'s block; the caller aborts. The test-only ignore
+    /// fault turns a conflict into `true` without recording ownership —
+    /// dirty reads and racy writes, which the sched oracle must catch.
     [[nodiscard]] bool acquire(TableContext& cx, std::uint64_t block,
                                Mode mode) {
         const AcquireResult r = ownership_.acquire(cx.slot_, block, mode);
@@ -360,10 +359,9 @@ private:
                 std::memory_order_relaxed)) {
             return true;
         }
-        auto& counter = ownership_.same_block(block, r.conflicting)
-                            ? stats_.true_conflicts
-                            : stats_.false_conflicts;
-        counter.fetch_add(1, std::memory_order_relaxed);
+        ++(ownership_.same_block(block, r.conflicting)
+               ? cx.stats->true_conflicts
+               : cx.stats->false_conflicts);
         return false;
     }
 
@@ -374,29 +372,26 @@ private:
         cx.redo_.clear();
     }
 
-    Instrumentation& stats_;
     unsigned block_shift_;
     Ownership ownership_;
     SlotPool slots_;
 };
 
 template <typename Ownership>
-std::unique_ptr<Backend> make_engine(const StmConfig& config,
-                                     Instrumentation& stats) {
+std::unique_ptr<Backend> make_engine(const StmConfig& config) {
     if (config.commit_time_locks) {
-        return std::make_unique<TableBackend<Ownership, true>>(config, stats);
+        return std::make_unique<TableBackend<Ownership, true>>(config);
     }
-    return std::make_unique<TableBackend<Ownership, false>>(config, stats);
+    return std::make_unique<TableBackend<Ownership, false>>(config);
 }
 
 }  // namespace
 
-std::unique_ptr<Backend> make_table_backend(const StmConfig& config,
-                                            Instrumentation& stats) {
+std::unique_ptr<Backend> make_table_backend(const StmConfig& config) {
     if (config.backend == BackendKind::kTaglessTable) {
-        return make_engine<TaglessOwnership>(config, stats);
+        return make_engine<TaglessOwnership>(config);
     }
-    return make_engine<TaggedOwnership>(config, stats);
+    return make_engine<TaggedOwnership>(config);
 }
 
 }  // namespace tmb::stm::detail

@@ -57,9 +57,6 @@ constexpr std::uint64_t kLocks = std::uint64_t{1} << 20;
 
 class Tl2Context final : public TxContext {
 public:
-    explicit Tl2Context(Instrumentation& stats) : stats_(stats) {}
-    ~Tl2Context() override { park(); }
-
     /// Below this size read-set dedup uses a linear scan — for the common
     /// tiny transaction a handful of L1-hot compares beats any hashing.
     /// Past it, the SeenFilter takes over (seeded from the scanned prefix).
@@ -74,11 +71,6 @@ public:
     WriteLog write_set;
     /// Commit-time scratch: sorted unique stripe locks of the write set.
     std::vector<std::atomic<std::uint64_t>*> commit_locks;
-    /// Accumulated locally; folded into the shared block only when the
-    /// context parks or retires, so neither loads nor commits touch a
-    /// shared counter.
-    std::uint64_t reads_tracked = 0;
-    std::uint64_t validation_checks = 0;
 
     /// Records a stripe lock in the read set unless already present.
     void record_read(std::atomic<std::uint64_t>* lock) {
@@ -87,7 +79,7 @@ public:
                 if (seen == lock) return;
             }
             read_set.push_back(lock);
-            ++reads_tracked;
+            ++stats->tl2_read_set_entries;
             if (read_set.size() < kSmallScan) return;
             read_seen_.clear();  // seed the filter from the scanned prefix
             for (std::atomic<std::uint64_t>* seen : read_set) {
@@ -98,7 +90,7 @@ public:
         }
         if (!read_seen_.test_and_set(lock)) {
             read_set.push_back(lock);
-            ++reads_tracked;
+            ++stats->tl2_read_set_entries;
         }
     }
 
@@ -108,34 +100,18 @@ public:
         read_filter_on_ = false;
     }
 
-    void park() noexcept override {
-        if (reads_tracked) {
-            stats_.tl2_read_set_entries.fetch_add(reads_tracked,
-                                                  std::memory_order_relaxed);
-            reads_tracked = 0;
-        }
-        if (validation_checks) {
-            stats_.tl2_validation_checks.fetch_add(validation_checks,
-                                                   std::memory_order_relaxed);
-            validation_checks = 0;
-        }
-    }
-
 private:
-    Instrumentation& stats_;
     SeenFilter<> read_seen_;
     bool read_filter_on_ = false;
 };
 
 class Tl2Backend final : public Backend {
 public:
-    Tl2Backend(const StmConfig& config, Instrumentation& stats)
-        : stats_(stats),
-          gv5_(config.tl2_clock == Tl2Clock::kGv5),
-          locks_(kLocks) {}
+    explicit Tl2Backend(const StmConfig& config)
+        : gv5_(config.tl2_clock == Tl2Clock::kGv5), locks_(kLocks) {}
 
     std::unique_ptr<TxContext> make_context() override {
-        return std::make_unique<Tl2Context>(stats_);
+        return std::make_unique<Tl2Context>();
     }
 
     std::uint32_t max_live_contexts() const noexcept override {
@@ -202,7 +178,7 @@ private:
     /// CAS-max: lifts the global clock to a stripe version observed beyond
     /// it (GV5 lag). Conflict path only; a no-op under GV1, where published
     /// versions never exceed the clock.
-    void raise_clock_to(std::uint64_t version) noexcept {
+    void raise_clock_to(Tl2Context& cx, std::uint64_t version) noexcept {
         std::uint64_t cur = clock_.load(std::memory_order_relaxed);
         while (cur < version &&
                !clock_.compare_exchange_weak(cur, version,
@@ -210,7 +186,7 @@ private:
             // Each failed iteration is one more writer racing us for the
             // clock cache line — the contention signal the adaptive layer
             // watches to fall back from gv5 to gv1.
-            stats_.clock_cas_failures.fetch_add(1, std::memory_order_relaxed);
+            ++cx.stats->clock_cas_failures;
         }
     }
 
@@ -222,11 +198,11 @@ private:
     /// guarantees the retry begins past the blocking version).
     [[nodiscard]] bool extend_read_version(Tl2Context& cx,
                                            std::uint64_t needed) {
-        raise_clock_to(needed);
+        raise_clock_to(cx, needed);
         const std::uint64_t extended =
             clock_.load(std::memory_order_acquire);
         for (std::atomic<std::uint64_t>* lock : cx.read_set) {
-            ++cx.validation_checks;
+            ++cx.stats->tl2_validation_checks;
             const std::uint64_t v = lock->load(std::memory_order_acquire);
             if ((v & 1) || (v >> 1) > cx.rv) return false;
         }
@@ -234,8 +210,8 @@ private:
         return true;
     }
 
-    [[noreturn]] void conflict_abort(Tl2Context&) {
-        stats_.true_conflicts.fetch_add(1, std::memory_order_relaxed);
+    [[noreturn]] static void conflict_abort(Tl2Context& cx) {
+        ++cx.stats->true_conflicts;
         throw ConflictAbort{};
     }
 
@@ -248,13 +224,13 @@ private:
             return true;  // test-only fault: the oracle must catch this
         }
         for (std::atomic<std::uint64_t>* lock : cx.read_set) {
-            ++cx.validation_checks;
+            ++cx.stats->tl2_validation_checks;
             const std::uint64_t v = lock->load(std::memory_order_acquire);
             const bool locked_by_me =
                 (v & 1) &&
                 std::binary_search(locks.begin(), locks.end(), lock);
             if (((v & 1) && !locked_by_me) || (v >> 1) > cx.rv) {
-                if (!(v & 1)) raise_clock_to(v >> 1);
+                if (!(v & 1)) raise_clock_to(cx, v >> 1);
                 return false;
             }
         }
@@ -302,8 +278,8 @@ private:
             // the retry would begin at the same rv and fail here forever.
             const std::uint64_t v =
                 locks[held]->load(std::memory_order_relaxed);
-            if (!(v & 1)) raise_clock_to(v >> 1);
-            stats_.true_conflicts.fetch_add(1, std::memory_order_relaxed);
+            if (!(v & 1)) raise_clock_to(cx, v >> 1);
+            ++cx.stats->true_conflicts;
             return false;
         }
 
@@ -317,7 +293,7 @@ private:
             // read set shows up as a version beyond rv.
             if (!read_set_valid(cx, locks)) {
                 release_locks(locks, locks.size());
-                stats_.true_conflicts.fetch_add(1, std::memory_order_relaxed);
+                ++cx.stats->true_conflicts;
                 return false;
             }
             wv = cx.rv + 1;
@@ -327,7 +303,7 @@ private:
             // since begin (TL2's rv+1 == wv shortcut).
             if (wv != cx.rv + 1 && !read_set_valid(cx, locks)) {
                 release_locks(locks, locks.size());
-                stats_.true_conflicts.fetch_add(1, std::memory_order_relaxed);
+                ++cx.stats->true_conflicts;
                 return false;
             }
         }
@@ -343,7 +319,6 @@ private:
         return true;
     }
 
-    Instrumentation& stats_;
     const bool gv5_;
     std::atomic<std::uint64_t> clock_{0};
     std::vector<std::atomic<std::uint64_t>> locks_;
@@ -351,9 +326,8 @@ private:
 
 }  // namespace
 
-std::unique_ptr<Backend> make_tl2_backend(const StmConfig& config,
-                                          Instrumentation& stats) {
-    return std::make_unique<Tl2Backend>(config, stats);
+std::unique_ptr<Backend> make_tl2_backend(const StmConfig& config) {
+    return std::make_unique<Tl2Backend>(config);
 }
 
 }  // namespace tmb::stm::detail

@@ -440,7 +440,7 @@ ServiceReport Service::finish(bool complete) {
     }
     finished_ = true;
     ServiceReport rep;
-    rep.stm = tm_.stats();
+    rep.stm = tm_.stats();  // every context but the live dispatchers'
     for (auto& d : dispatchers_) {
         rep.stm.merge(d->exec->stats());
         rep.counters.merge(d->counters);

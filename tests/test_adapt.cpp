@@ -264,19 +264,20 @@ TEST(AdaptiveSched, AutoPolicyResizesUnderAliasingPressure) {
 
 TEST(AdaptiveSched, EngineStatePersistsAcrossRunsOnOneStm) {
     // The caller-owned-Stm overload: a cycle engine keeps rotating across
-    // runs instead of starting from home each time, and instance counters
-    // accumulate.
+    // runs instead of starting from home each time; each run reports its
+    // own switches, and the instance counters add them up.
     const auto cfg = adaptive_config("cycle", 2);
     const auto programs = sched::generate_programs(cfg);
     const auto tm = stm::Stm::create(sched::stm_spec(cfg));
-    std::uint64_t last_switches = 0;
+    std::uint64_t switches = 0;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         auto schedule = sched::make_schedule(
             config::Config::from_string("sched=random"), seed);
         const auto run = sched::run_schedule(cfg, programs, *schedule, *tm);
         EXPECT_EQ(sched::check_serializable(cfg, programs, run), std::nullopt);
-        EXPECT_GT(run.stats.policy_switches, last_switches);
-        last_switches = run.stats.policy_switches;
+        EXPECT_GT(run.stats.policy_switches, 0u);
+        switches += run.stats.policy_switches;
+        EXPECT_EQ(tm->stats().policy_switches, switches);
     }
 }
 

@@ -469,9 +469,9 @@ TEST_P(TaglessFootprint, ClassifiesBlocksPastTheInlineArray) {
                 (void)tx.load(word);
             }
         };
-        const StmStats before = tm.stats();
+        const StmStats before = contender->stats();
         EXPECT_THROW(contender->atomically(access), TooMuchContention);
-        const StmStats after = tm.stats();
+        const StmStats after = contender->stats();
         if (after.true_conflicts == before.true_conflicts + 1 &&
             after.false_conflicts == before.false_conflicts) {
             return "true";
@@ -519,6 +519,57 @@ TEST_P(TaglessFootprint, ClassifiesBlocksPastTheInlineArray) {
     EXPECT_EQ(holder->stats().commits, 1u);
     EXPECT_EQ(blocks[0].word, 2u);
     EXPECT_EQ(tm.occupied_metadata_entries(), 0u);
+}
+
+/// One engine per counting path: TL2's, the table engine's two
+/// organizations, and the adaptive wrapper's inner engine.
+class ContextCounters : public ::testing::TestWithParam<const char*> {};
+
+INSTANTIATE_TEST_SUITE_P(Engines, ContextCounters,
+                         ::testing::Values("tl2", "tagless", "tagged",
+                                           "adaptive"),
+                         [](const auto& info) {
+                             return std::string(info.param);
+                         });
+
+TEST_P(ContextCounters, AConflictCountsInTheLosersOwnBlock) {
+    // A holder's write to a block stands while a contender's single
+    // attempt runs into it. The conflict shows in the contender's own
+    // stats(); the holder's shows none.
+    const auto tm = Stm::create(config::Config::from_string(
+        std::string("backend=") + GetParam() +
+        " max_attempts=1 contention=none"));
+    TVar<std::uint64_t> x{0};
+    const auto holder = tm->make_executor();
+    const auto contender = tm->make_executor();
+    if (tm->config().backend == BackendKind::kTl2) {
+        // TL2 locks a write only inside its commit, so the holder's write
+        // commits between the contender's read and the contender's commit,
+        // whose validation then fails.
+        EXPECT_THROW(contender->atomically([&](Transaction& tx) {
+                         const std::uint64_t v = x.read(tx);
+                         holder->atomically(
+                             [&](Transaction& htx) { x.write(htx, 7); });
+                         x.write(tx, v + 1);
+                     }),
+                     TooMuchContention);
+    } else {
+        holder->atomically([&](Transaction& tx) {
+            x.write(tx, 7);  // eager: write ownership until commit
+            EXPECT_THROW(contender->atomically(
+                             [&](Transaction& ctx) { (void)x.read(ctx); }),
+                         TooMuchContention);
+        });
+    }
+    const StmStats lost = contender->stats();
+    EXPECT_EQ(lost.commits, 0u);
+    EXPECT_EQ(lost.aborts, 1u);
+    EXPECT_EQ(lost.true_conflicts, 1u);
+    EXPECT_EQ(lost.false_conflicts, 0u);
+    const StmStats won = holder->stats();
+    EXPECT_EQ(won.commits, 1u);
+    EXPECT_EQ(won.true_conflicts + won.false_conflicts, 0u);
+    EXPECT_EQ(x.unsafe_read(), 7u);
 }
 
 TEST(StmRuntime, ToStringNames) {

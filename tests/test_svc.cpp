@@ -534,5 +534,49 @@ TEST(SvcProduction, OpenArrivalWithFaultsStillBalances) {
     EXPECT_EQ(rep.counters.stalls, 2u) << "one stall per dispatcher";
 }
 
+TEST(SvcProduction, Tl2ReportCountsTheDispatchersReadSets) {
+    // The report's STM counters include what the dispatchers' TL2 contexts
+    // counted, so they match the instance view once finish() retired them.
+    class YieldEnv final : public SvcEnv {
+    public:
+        std::uint64_t now() override {
+            return static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now().time_since_epoch())
+                    .count());
+        }
+        void backoff(std::uint32_t) override { std::this_thread::yield(); }
+        void idle() override { std::this_thread::yield(); }
+        void pace_until(std::uint64_t) override {}
+        void stall(std::uint32_t) override {}
+    } env;
+    const SvcConfig sc = svc_config_from(config::Config::from_string(
+        "clients=2 dispatchers=2 requests=500 slots=256 seed=7"));
+    const auto tm =
+        stm::Stm::create(config::Config::from_string("backend=tl2"));
+    // One zeroed 64-byte block per slot, as run_service lays it out.
+    std::vector<std::uint64_t> storage(std::size_t{sc.slots} * 8 + 8, 0);
+    const auto base =
+        (reinterpret_cast<std::uintptr_t>(storage.data()) + 63) &
+        ~std::uintptr_t{63};
+    Service svc(sc, *tm, env, reinterpret_cast<std::uint64_t*>(base));
+    std::vector<std::thread> threads;
+    for (std::uint32_t c = 0; c < sc.clients; ++c) {
+        threads.emplace_back([&svc, c] { svc.client_loop(c); });
+    }
+    for (std::uint32_t d = 0; d < sc.dispatchers; ++d) {
+        threads.emplace_back([&svc, d] { svc.dispatcher_loop(d); });
+    }
+    for (auto& th : threads) th.join();
+    const ServiceReport rep = svc.finish(/*complete=*/true);
+    EXPECT_TRUE(rep.ledger_ok) << rep.ledger_note;
+    const stm::StmStats after = tm->stats();
+    EXPECT_GT(rep.stm.tl2_read_set_entries, 0u);
+    EXPECT_GT(rep.stm.tl2_validation_checks, 0u);
+    EXPECT_EQ(rep.stm.tl2_read_set_entries, after.tl2_read_set_entries);
+    EXPECT_EQ(rep.stm.tl2_validation_checks, after.tl2_validation_checks);
+    EXPECT_EQ(rep.stm.commits, after.commits);
+}
+
 }  // namespace
 }  // namespace tmb::svc
