@@ -2,10 +2,13 @@
 // binaries.
 //
 // Every bench prints the same rows/series the corresponding paper figure
-// plots, using fixed seeds for bit-for-bit reproducibility, and is generic
-// over the metadata organization: components are constructed *by name*
-// from string keys, so `--table=tagged` or `--backend=tl2`
-// re-runs any figure under a different organization with no recompilation.
+// plots, using fixed seeds for bit-for-bit reproducibility. Components are
+// constructed *by name* from string keys, so `--table=tagged` or
+// `--backend=tl2` re-runs a figure under a different organization with no
+// recompilation. The open- and closed-system figures (fig4-fig6,
+// ext_strong_isolation, ext_alpha_sensitivity) take no `--table=`: their
+// blocks are entry indices, so every organization counts the same
+// conflicts.
 //
 // Shared flags (parsed into a config::Config by Runner):
 //   --table=NAME       ownership-table organization (tagless | tagged)

@@ -24,7 +24,6 @@ int bench_main(int argc, char** argv) {
                        "Zilles & Rajwar, SPAA 2007, Eq. 4/8 read-mix term");
 
     const std::uint64_t kTable = runner.cfg().get_u64("entries", 65536);
-    const std::string kOrg = runner.cfg().get("table", "tagless");
     constexpr std::uint64_t kW = 10;
 
     std::cout << "open-system simulation, C=2, W=" << kW << ", N=" << kTable
@@ -39,7 +38,6 @@ int bench_main(int argc, char** argv) {
              .write_footprint = kW,
              .alpha = alpha,
              .table_entries = kTable,
-             .table = kOrg,
              .experiments = scaled(20000),
              .seed = 0xa1f4 ^ static_cast<std::uint64_t>(alpha * 8)});
         const tmb::core::ModelParams p{.alpha = alpha, .table_entries = kTable};

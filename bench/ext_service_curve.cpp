@@ -283,7 +283,6 @@ int bench_main(int argc, char** argv) {
                                            .write_footprint = w,
                                            .alpha = 0.0,
                                            .table_entries = kEntries,
-                                           .table = "tagless",
                                            .experiments =
                                                tmb::bench::scaled(2000),
                                            .seed = 0x0de1'90de + w});

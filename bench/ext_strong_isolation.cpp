@@ -30,7 +30,6 @@ int bench_main(int argc, char** argv) {
         "Zilles & Rajwar, SPAA 2007, §6 (claim stated without data)");
 
     const std::uint64_t kTable = runner.cfg().get_u64("entries", 65536);
-    const std::string kOrg = runner.cfg().get("table", "tagless");
     constexpr double kBeta = 1.0 / 3.0;
     const ModelParams p{.alpha = 2.0, .table_entries = kTable};
 
@@ -49,7 +48,6 @@ int bench_main(int argc, char** argv) {
                  .write_footprint = w,
                  .alpha = 2.0,
                  .table_entries = kTable,
-                 .table = kOrg,
                  .experiments = scaled(4000),
                  .seed = 0x51ULL ^ (w << 8) ^ s,
                  .non_tx_accesses_per_step = s,

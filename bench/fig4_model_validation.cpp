@@ -27,15 +27,11 @@ using tmb::sim::OpenSystemResult;
 using tmb::sim::run_open_system;
 using tmb::util::TablePrinter;
 
-/// Organization under test (`--table=tagged` isolates true conflicts).
-std::string g_table = "tagless";  // NOLINT: bench-local knob
-
 OpenSystemResult point(std::uint32_t c, std::uint64_t w, std::uint64_t n) {
     return run_open_system({.concurrency = c,
                             .write_footprint = w,
                             .alpha = 2.0,
                             .table_entries = n,
-                            .table = g_table,
                             .experiments = scaled(1000),
                             .seed = 0xf16'4000 ^ (c * 977ULL) ^ (w << 24) ^ n});
 }
@@ -44,7 +40,6 @@ OpenSystemResult point(std::uint32_t c, std::uint64_t w, std::uint64_t n) {
 
 int bench_main(int argc, char** argv) {
     tmb::bench::Runner runner("fig4_model_validation", argc, argv);
-    g_table = runner.cfg().get("table", g_table);
     const bool check = runner.cfg().get_bool("check", false);
     runner.header("Fig. 4 — model validation by statistical simulation",
                        "Zilles & Rajwar, SPAA 2007, Figure 4");

@@ -23,16 +23,12 @@ using tmb::sim::ClosedSystemConfig;
 using tmb::sim::run_closed_system_averaged;
 using tmb::util::TablePrinter;
 
-/// Organization under test (`--table=tagged` isolates true conflicts).
-std::string g_table = "tagless";  // NOLINT: bench-local knob
-
 double conflicts(std::uint32_t c, std::uint64_t w, std::uint64_t n) {
     const ClosedSystemConfig config{
         .concurrency = c,
         .write_footprint = w,
         .alpha = 2.0,
         .table_entries = n,
-        .table = g_table,
         .target_transactions = 650,
         .seed = 0xf15'0000 ^ (c * 31ULL) ^ (w << 16) ^ n,
     };
@@ -44,7 +40,6 @@ double conflicts(std::uint32_t c, std::uint64_t w, std::uint64_t n) {
 
 int bench_main(int argc, char** argv) {
     tmb::bench::Runner runner("fig5_closed_system", argc, argv);
-    g_table = runner.cfg().get("table", g_table);
     runner.header("Fig. 5 — closed-system conflict counts",
                        "Zilles & Rajwar, SPAA 2007, Figure 5");
 

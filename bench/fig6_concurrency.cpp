@@ -20,16 +20,12 @@ using tmb::sim::ClosedSystemConfig;
 using tmb::sim::run_closed_system_averaged;
 using tmb::util::TablePrinter;
 
-/// Organization under test (`--table=tagged` isolates true conflicts).
-std::string g_table = "tagless";  // NOLINT: bench-local knob
-
 ClosedSystemAverages point(std::uint32_t c, std::uint64_t w, std::uint64_t n) {
     const ClosedSystemConfig config{
         .concurrency = c,
         .write_footprint = w,
         .alpha = 2.0,
         .table_entries = n,
-        .table = g_table,
         .target_transactions = 650,
         .seed = 0xf16'0000 ^ (c * 131ULL) ^ (w << 16) ^ n,
     };
@@ -40,7 +36,6 @@ ClosedSystemAverages point(std::uint32_t c, std::uint64_t w, std::uint64_t n) {
 
 int bench_main(int argc, char** argv) {
     tmb::bench::Runner runner("fig6_concurrency", argc, argv);
-    g_table = runner.cfg().get("table", g_table);
     runner.header(
         "Fig. 6 — applied vs actual concurrency in the closed system",
         "Zilles & Rajwar, SPAA 2007, Figure 6");

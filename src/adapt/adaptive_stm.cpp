@@ -368,8 +368,9 @@ private:
         // between begin and commit/abort), so every retired block can be
         // released before the old engine goes away — a zombie reader that
         // observed a since-freed pointer through the old engine's metadata
-        // no longer exists.
-        reclaim_.drain_all();
+        // no longer exists. The drain counts into the swapping context's
+        // block, like the switch itself.
+        reclaim_.drain_all(cx.counts);
         auto next = std::make_shared<EngineEpoch>();
         next->seq = old.seq + 1;
         next->cfg = pending_cfg_;

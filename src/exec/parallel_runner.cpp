@@ -123,9 +123,10 @@ ParallelResult ParallelRunner::run() {
         result.stats.attempts_per_commit.merge(
             result.per_thread.back().attempts_per_commit);
     }
-    // Destroy the executors NOW: their blocks join the Stm's retired total,
-    // their buffered retired blocks reach the shards (the pending==0 check
-    // below needs them), and their allocator counters land in the domain.
+    // Destroy the executors NOW: each tears down its reclamation state (its
+    // buffered retired blocks reach the retired list, which the pending==0
+    // check below needs) and then adds its block to the Stm's retired
+    // total.
     executors.clear();
     const stm::StmStats after = stm_->stats();
     for (const auto field : stm::StmStats::counters()) {

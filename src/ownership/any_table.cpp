@@ -25,9 +25,6 @@ public:
     [[nodiscard]] std::uint64_t entry_count() const noexcept override {
         return table_.entry_count();
     }
-    [[nodiscard]] TableCounters counters() const noexcept override {
-        return table_.counters();
-    }
     [[nodiscard]] std::uint64_t index_of(
         std::uint64_t block) const noexcept override {
         return table_.index_of(block);

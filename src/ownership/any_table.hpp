@@ -32,7 +32,6 @@ public:
     virtual AcquireResult acquire_write(TxId tx, std::uint64_t block) = 0;
     virtual void release(TxId tx, std::uint64_t block, Mode mode) = 0;
     [[nodiscard]] virtual std::uint64_t entry_count() const noexcept = 0;
-    [[nodiscard]] virtual TableCounters counters() const noexcept = 0;
     /// First-level slot `block` hashes to (experiments reason about aliasing
     /// without duplicating the hash).
     [[nodiscard]] virtual std::uint64_t index_of(

@@ -35,18 +35,10 @@ inline void check_tx(TxId tx) {
     if (tx >= kMaxAtomicTx) [[unlikely]] throw_tx_out_of_range(tx);
 }
 
-/// Counter bump for a single-writer shard (see CounterShard): a relaxed
-/// load and store, not a locked read-modify-write.
-inline void bump(std::atomic<std::uint64_t>& counter) {
-    counter.store(counter.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
-}
-
 }  // namespace
 
 AcquireResult AtomicTaglessTable::acquire_read(TxId tx, std::uint64_t block) {
     check_tx(tx);
-    bump(counter_shards_[tx].read_acquires);
     std::atomic<std::uint64_t>& entry = entries_[index_of(block)];
     std::uint64_t word = entry.load(std::memory_order_acquire);
     for (;;) {
@@ -70,7 +62,6 @@ AcquireResult AtomicTaglessTable::acquire_read(TxId tx, std::uint64_t block) {
             case Mode::kWrite: {
                 const auto writer = static_cast<TxId>(payload_of(word));
                 if (writer == tx) return {.ok = true};
-                bump(counter_shards_[tx].conflicts);
                 return {.ok = false, .conflicting = tx_bit(writer)};
             }
         }
@@ -79,7 +70,6 @@ AcquireResult AtomicTaglessTable::acquire_read(TxId tx, std::uint64_t block) {
 
 AcquireResult AtomicTaglessTable::acquire_write(TxId tx, std::uint64_t block) {
     check_tx(tx);
-    bump(counter_shards_[tx].write_acquires);
     std::atomic<std::uint64_t>& entry = entries_[index_of(block)];
     std::uint64_t word = entry.load(std::memory_order_acquire);
     for (;;) {
@@ -92,10 +82,7 @@ AcquireResult AtomicTaglessTable::acquire_write(TxId tx, std::uint64_t block) {
                 break;
             case Mode::kRead: {
                 const std::uint64_t others = payload_of(word) & ~tx_bit(tx);
-                if (others != 0) {
-                    bump(counter_shards_[tx].conflicts);
-                    return {.ok = false, .conflicting = others};
-                }
+                if (others != 0) return {.ok = false, .conflicting = others};
                 if (entry.compare_exchange_weak(word, pack(Mode::kWrite, tx),
                                                 std::memory_order_acq_rel)) {
                     return {.ok = true};  // sole-reader upgrade
@@ -105,7 +92,6 @@ AcquireResult AtomicTaglessTable::acquire_write(TxId tx, std::uint64_t block) {
             case Mode::kWrite: {
                 const auto writer = static_cast<TxId>(payload_of(word));
                 if (writer == tx) return {.ok = true};
-                bump(counter_shards_[tx].conflicts);
                 return {.ok = false, .conflicting = tx_bit(writer)};
             }
         }
@@ -113,7 +99,6 @@ AcquireResult AtomicTaglessTable::acquire_write(TxId tx, std::uint64_t block) {
 }
 
 void AtomicTaglessTable::release(TxId tx, std::uint64_t block, Mode /*mode*/) {
-    bump(counter_shards_[tx & 63].releases);
     std::atomic<std::uint64_t>& entry = entries_[index_of(block)];
     std::uint64_t word = entry.load(std::memory_order_acquire);
     for (;;) {
@@ -141,17 +126,6 @@ void AtomicTaglessTable::release(TxId tx, std::uint64_t block, Mode /*mode*/) {
                 return;
         }
     }
-}
-
-TableCounters AtomicTaglessTable::counters() const noexcept {
-    TableCounters out;
-    for (const CounterShard& shard : counter_shards_) {
-        out.read_acquires += shard.read_acquires.load(std::memory_order_relaxed);
-        out.write_acquires += shard.write_acquires.load(std::memory_order_relaxed);
-        out.conflicts += shard.conflicts.load(std::memory_order_relaxed);
-        out.releases += shard.releases.load(std::memory_order_relaxed);
-    }
-    return out;
 }
 
 std::uint64_t AtomicTaglessTable::occupied_entries() const noexcept {

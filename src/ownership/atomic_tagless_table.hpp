@@ -15,10 +15,10 @@
 // implementers (paper §2.1: no tags, no chains, one CAS per acquire) — and
 // it changes nothing about their false-conflict pathology, which this class
 // inherits by construction. An acquire or a read release is one locked
-// instruction; a write release is a plain store.
+// instruction; a write release is a plain store. The table counts nothing
+// (ownership.hpp): an acquire touches its entry word and nothing else.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -55,10 +55,6 @@ public:
 
     [[nodiscard]] std::uint64_t entry_count() const noexcept { return config_.entries; }
     [[nodiscard]] const TableConfig& config() const noexcept { return config_; }
-    /// Sums the per-TxId shards. Exact while each TxId is used by one
-    /// thread at a time (see CounterShard); two threads sharing a TxId may
-    /// lose counts, and a lost count never touches an entry word.
-    [[nodiscard]] TableCounters counters() const noexcept;
     [[nodiscard]] std::uint64_t occupied_entries() const noexcept;
 
     /// Not thread-safe; call only at quiescent points.
@@ -90,26 +86,9 @@ private:
         return word & kPayloadMask;
     }
 
-    /// Per-TxId statistics shard: counters are bumped on every acquire, so
-    /// a single shared set would ping-pong one cache line between all
-    /// threads; each transaction writes its own line instead and counters()
-    /// sums at read time. Single writer: only the thread holding TxId `tx`
-    /// writes shard `tx` (the STM's SlotPool hands a TxId over through a
-    /// release/acquire pair; the simulators are single-threaded), so a
-    /// bump is a relaxed load plus store, not a locked add. Sized kMaxTx
-    /// (not kMaxAtomicTx) so release() — which tolerates any TxId — can
-    /// index with `tx & 63` unconditionally.
-    struct alignas(64) CounterShard {
-        std::atomic<std::uint64_t> read_acquires{0};
-        std::atomic<std::uint64_t> write_acquires{0};
-        std::atomic<std::uint64_t> conflicts{0};
-        std::atomic<std::uint64_t> releases{0};
-    };
-
     TableConfig config_;
     util::BlockHasher hasher_;
     std::vector<std::atomic<std::uint64_t>> entries_;
-    std::array<CounterShard, kMaxTx> counter_shards_;
 };
 
 static_assert(OwnershipTable<AtomicTaglessTable>);

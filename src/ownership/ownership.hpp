@@ -51,26 +51,20 @@ struct TableConfig {
     util::HashKind hash = util::HashKind::kMix64;
 };
 
-/// Statistics counters maintained by both organizations.
-struct TableCounters {
-    std::uint64_t read_acquires = 0;
-    std::uint64_t write_acquires = 0;
-    std::uint64_t conflicts = 0;
-    std::uint64_t releases = 0;
-};
-
 /// The shape every ownership-table organization satisfies. Acquire calls are
 /// idempotent per (tx, block): re-acquiring a held permission succeeds
 /// without extra bookkeeping. `release(tx, block, mode)` must be called once
 /// per distinct (block, strongest-mode) the transaction acquired; releasing
-/// a write that was upgraded from a read releases everything.
+/// a write that was upgraded from a read releases everything. Tables count
+/// nothing: a caller that wants counts keeps them (the STM counts conflicts
+/// into the transaction's StmStats block, the simulators into their
+/// results).
 template <typename T>
 concept OwnershipTable = requires(T t, const T ct, TxId tx, std::uint64_t block) {
     { t.acquire_read(tx, block) } -> std::same_as<AcquireResult>;
     { t.acquire_write(tx, block) } -> std::same_as<AcquireResult>;
     { t.release(tx, block, Mode::kRead) } -> std::same_as<void>;
     { ct.entry_count() } -> std::convertible_to<std::uint64_t>;
-    { ct.counters() } -> std::convertible_to<TableCounters>;
     { ct.index_of(block) } -> std::convertible_to<std::uint64_t>;
     { ct.occupied_entries() } -> std::convertible_to<std::uint64_t>;
     { ct.mode_of_block(block) } -> std::same_as<Mode>;

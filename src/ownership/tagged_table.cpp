@@ -1,9 +1,6 @@
 #include "ownership/tagged_table.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "util/bits.hpp"
 
 namespace tmb::ownership {
 
@@ -28,14 +25,6 @@ Mode TaggedTable::mode_of_block(std::uint64_t block) const noexcept {
         }
     }
     return Mode::kFree;
-}
-
-unsigned TaggedTable::tag_bits(unsigned address_bits,
-                               unsigned block_offset_bits) const noexcept {
-    const unsigned index_bits =
-        util::is_pow2(config_.entries) ? util::log2_pow2(config_.entries) : 0;
-    const unsigned consumed = block_offset_bits + index_bits;
-    return consumed >= address_bits ? 0 : address_bits - consumed;
 }
 
 TaggedTable::Record* TaggedTable::find(Slot& slot, std::uint64_t block) {
@@ -86,7 +75,6 @@ void TaggedTable::remove(Slot& slot, Record& record) {
 }
 
 AcquireResult TaggedTable::acquire_read(TxId tx, std::uint64_t block) {
-    ++counters_.read_acquires;
     Slot& slot = slots_[index_of(block)];
     Record& r = find_or_create(slot, block);
     switch (r.mode) {
@@ -99,14 +87,12 @@ AcquireResult TaggedTable::acquire_read(TxId tx, std::uint64_t block) {
             return {.ok = true};
         case Mode::kWrite:
             if (r.writer == tx) return {.ok = true};
-            ++counters_.conflicts;
             return {.ok = false, .conflicting = tx_bit(r.writer)};
     }
     return {.ok = false};
 }
 
 AcquireResult TaggedTable::acquire_write(TxId tx, std::uint64_t block) {
-    ++counters_.write_acquires;
     Slot& slot = slots_[index_of(block)];
     Record& r = find_or_create(slot, block);
     switch (r.mode) {
@@ -123,19 +109,16 @@ AcquireResult TaggedTable::acquire_write(TxId tx, std::uint64_t block) {
                 r.sharers = 0;
                 return {.ok = true};
             }
-            ++counters_.conflicts;
             return {.ok = false, .conflicting = others};
         }
         case Mode::kWrite:
             if (r.writer == tx) return {.ok = true};
-            ++counters_.conflicts;
             return {.ok = false, .conflicting = tx_bit(r.writer)};
     }
     return {.ok = false};
 }
 
 void TaggedTable::release(TxId tx, std::uint64_t block, Mode /*mode*/) {
-    ++counters_.releases;
     Slot& slot = slots_[index_of(block)];
     Record* r = nullptr;
     if (slot.first.mode != Mode::kFree && slot.first.block == block) {

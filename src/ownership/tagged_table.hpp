@@ -7,9 +7,10 @@
 //
 // The paper's space optimization — storing only the tag bits not implied by
 // the slot index and block offset (e.g. 14 bits on a 32-bit machine with
-// 64-byte blocks and a 4096-entry table) — is reported by `tag_bits()`; the
-// in-memory representation keeps the full block address for simplicity,
-// which changes no observable behaviour.
+// 64-byte blocks and a 4096-entry table) — is computed by
+// `core::residual_tag_bits` (core/space_model.hpp); the in-memory
+// representation keeps the full block address for simplicity, which
+// changes no observable behaviour.
 //
 // Storage mirrors Fig. 7's record-or-pointer union: each slot holds its
 // first record INLINE (§5: "the overwhelming majority of entries store 0 or
@@ -51,15 +52,9 @@ public:
     /// never makes a non-transactional access appear conflicting.
     [[nodiscard]] Mode mode_of_block(std::uint64_t block) const noexcept;
 
-    /// Residual tag width for a given architecture address width and block
-    /// size — the paper's §5 space-overhead argument.
-    [[nodiscard]] unsigned tag_bits(unsigned address_bits,
-                                    unsigned block_offset_bits) const noexcept;
-
     // --- inspection ---
     [[nodiscard]] std::uint64_t entry_count() const noexcept { return config_.entries; }
     [[nodiscard]] const TableConfig& config() const noexcept { return config_; }
-    [[nodiscard]] TableCounters counters() const noexcept { return counters_; }
     [[nodiscard]] std::uint64_t record_count() const noexcept { return live_records_; }
     /// Live ownership records — the tagged analog of a tagless table's
     /// occupied entries (each held block has its own record, chained records
@@ -110,7 +105,6 @@ private:
     TableConfig config_;
     util::BlockHasher hasher_;
     std::vector<Slot> slots_;
-    TableCounters counters_;
     std::uint64_t live_records_ = 0;
     std::uint64_t probe_steps_ = 0;
     std::uint64_t alias_traversals_ = 0;

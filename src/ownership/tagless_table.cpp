@@ -16,7 +16,6 @@ std::uint64_t TaglessTable::index_of(std::uint64_t block) const noexcept {
 }
 
 AcquireResult TaglessTable::acquire_read(TxId tx, std::uint64_t block) {
-    ++counters_.read_acquires;
     Entry& e = entries_[index_of(block)];
     switch (e.mode) {
         case Mode::kFree:
@@ -29,14 +28,12 @@ AcquireResult TaglessTable::acquire_read(TxId tx, std::uint64_t block) {
             return {.ok = true};
         case Mode::kWrite:
             if (e.writer == tx) return {.ok = true};  // own write covers reads
-            ++counters_.conflicts;
             return {.ok = false, .conflicting = tx_bit(e.writer)};
     }
     return {.ok = false};
 }
 
 AcquireResult TaglessTable::acquire_write(TxId tx, std::uint64_t block) {
-    ++counters_.write_acquires;
     Entry& e = entries_[index_of(block)];
     switch (e.mode) {
         case Mode::kFree:
@@ -55,19 +52,16 @@ AcquireResult TaglessTable::acquire_write(TxId tx, std::uint64_t block) {
                 e.sharers = 0;
                 return {.ok = true};
             }
-            ++counters_.conflicts;
             return {.ok = false, .conflicting = others};
         }
         case Mode::kWrite:
             if (e.writer == tx) return {.ok = true};
-            ++counters_.conflicts;
             return {.ok = false, .conflicting = tx_bit(e.writer)};
     }
     return {.ok = false};
 }
 
 void TaglessTable::release(TxId tx, std::uint64_t block, Mode /*mode*/) {
-    ++counters_.releases;
     Entry& e = entries_[index_of(block)];
     switch (e.mode) {
         case Mode::kFree:

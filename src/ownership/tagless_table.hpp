@@ -57,9 +57,8 @@ public:
 
     [[nodiscard]] std::uint64_t entry_count() const noexcept { return config_.entries; }
     [[nodiscard]] const TableConfig& config() const noexcept { return config_; }
-    [[nodiscard]] TableCounters counters() const noexcept { return counters_; }
 
-    /// Resets all entries to Free (counters are preserved).
+    /// Resets all entries to Free.
     void clear();
 
 private:
@@ -72,7 +71,6 @@ private:
     TableConfig config_;
     util::BlockHasher hasher_;
     std::vector<Entry> entries_;
-    TableCounters counters_;
     std::uint64_t occupied_ = 0;
 };
 

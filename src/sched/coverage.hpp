@@ -17,7 +17,7 @@
 //      lazy commit-lock, a TL2 load, a depot refill and an engine swap are
 //      distinct vocabulary even when their YieldPoint kind coincides.
 //   3. A quantized StmStats vector (aborts, false conflicts, clock CAS
-//      failures, allocator cache hits/misses, shard flushes, policy
+//      failures, allocator cache hits/misses, retire flushes, policy
 //      switches, ... — each reduced to its bit width), so runs that
 //      interleave identically but stress a counter into a new magnitude
 //      still count as new behavior.

@@ -49,9 +49,6 @@ config::Config stm_config(const StmSpec& spec) {
     // jitter from the retry loop.
     out.set("hash", "shift-mask");
     out.set("contention", "none");
-    // Shard count is pinned (not hardware concurrency): which shard a
-    // context binds to must not depend on the machine replaying a schedule.
-    out.set("reclaim_shards", "2");
     if (spec.commit_time_locks) out.set("commit_time_locks", "1");
     if (!spec.clock.empty()) out.set("clock", spec.clock);
     return out;

@@ -48,7 +48,7 @@ struct StmSpec {
 void read_stm_spec(const config::Config& cfg, StmSpec& spec);
 
 /// The Config handed to stm::Stm::create, with the determinism pins
-/// (hash=shift-mask, contention=none, reclaim_shards=2).
+/// (hash=shift-mask, contention=none).
 [[nodiscard]] config::Config stm_config(const StmSpec& spec);
 
 /// `--key=value` flags that read_stm_spec turns back into `spec`.

@@ -431,9 +431,9 @@ RunResult run_schedule(const HarnessConfig& cfg,
     result.state_hash = h;
 
     // This run's counts: the live executors' blocks, plus what the Stm's
-    // view grew by (dyn mode's pooled seeding transactions and the
-    // allocator counters, read before the executors retire). The attempts
-    // histogram covers the executors' transactions.
+    // view grew by (dyn mode's pooled seeding transactions, read before the
+    // executors retire). The attempts histogram covers the executors'
+    // transactions.
     const stm::StmStats stats_after = tm.stats();
     for (const auto field : stm::StmStats::counters()) {
         result.stats.*field = stats_after.*field - stats_before.*field;
@@ -441,8 +441,8 @@ RunResult run_schedule(const HarnessConfig& cfg,
     for (const auto& exec : executors) result.stats.merge(exec->stats());
     result.signature = coverage.signature(result.stats);
     // Retire the executor contexts before the dyn balance check: their
-    // buffered retired blocks must reach the shards for the full drain
-    // below to account for every tx_free.
+    // buffered retired blocks must reach the retired list for the full
+    // drain below to account for every tx_free.
     executors.clear();
 
     if (cfg.dynamic) {

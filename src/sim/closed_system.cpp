@@ -1,8 +1,9 @@
 #include "sim/closed_system.hpp"
 
 #include <stdexcept>
+#include <string>
 
-#include "ownership/ownership.hpp"
+#include "ownership/tagless_table.hpp"
 
 namespace tmb::sim {
 
@@ -25,7 +26,6 @@ ClosedSystemConfig closed_system_config_from(const config::Config& cfg) {
     out.write_footprint = cfg.get_u64("footprint", out.write_footprint);
     out.alpha = cfg.get_double("alpha", out.alpha);
     out.table_entries = cfg.get_u64("entries", out.table_entries);
-    out.table = cfg.get("table", out.table);
     out.target_transactions = cfg.get_u64("target", out.target_transactions);
     out.seed = cfg.get_u64("seed", out.seed);
     return out;
@@ -46,10 +46,8 @@ ClosedSystemResult run_closed_system(const ClosedSystemConfig& config) {
 
     // Blocks are drawn uniformly in [0, N), so the identity-like hash keeps
     // the simulation equal to the paper's "assign blocks to random entries".
-    const auto table_ptr = ownership::make_table(
-        config.table, {.entries = config.table_entries,
-                       .hash = util::HashKind::kShiftMask});
-    ownership::AnyTable& table = *table_ptr;
+    ownership::TaglessTable table({.entries = config.table_entries,
+                                   .hash = util::HashKind::kShiftMask});
     util::Xoshiro256 rng{config.seed};
 
     const auto alpha_reads = static_cast<std::uint64_t>(config.alpha);

@@ -12,11 +12,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "config/config.hpp"
-#include "ownership/any_table.hpp"
 #include "util/rng.hpp"
 
 namespace tmb::sim {
@@ -26,21 +24,18 @@ struct ClosedSystemConfig {
     std::uint32_t concurrency = 2;        ///< C, in [1, ownership::kMaxTx]
     std::uint64_t write_footprint = 10;   ///< W per transaction
     double alpha = 2.0;                   ///< reads per write
-    std::uint64_t table_entries = 4096;   ///< N
-    /// Ownership-table organization: "tagless" or "tagged"
-    /// (ownership::make_table). NOTE: this simulation follows the paper's
-    /// abstraction of assigning blocks to random entries directly (identity
-    /// hash over [0, N)), so distinct blocks never alias and both
-    /// organizations produce identical conflict counts — the knob exists for
-    /// interface uniformity, not to ablate false conflicts (use the
-    /// trace-alias or hybrid drivers for that).
-    std::string table = "tagless";
+    /// N. This simulation follows the paper's abstraction of assigning
+    /// blocks to random entries directly (identity hash over [0, N)), so
+    /// distinct blocks never alias and it runs a TaglessTable: a tagged one
+    /// would count the same conflicts (ablate false conflicts with the
+    /// trace-alias or hybrid drivers).
+    std::uint64_t table_entries = 4096;
     std::uint64_t target_transactions = 650;  ///< completed when conflict-free
     std::uint64_t seed = 1;
 };
 
 /// Parses a ClosedSystemConfig from string key/values: `concurrency`,
-/// `footprint`, `alpha`, `entries`, `table`, `target`, `seed`.
+/// `footprint`, `alpha`, `entries`, `target`, `seed`.
 [[nodiscard]] ClosedSystemConfig closed_system_config_from(
     const config::Config& cfg);
 
@@ -61,7 +56,7 @@ struct ClosedSystemResult {
 /// Runs the closed-system simulation once.
 [[nodiscard]] ClosedSystemResult run_closed_system(const ClosedSystemConfig& config);
 
-/// Config-driven overload (organization selected by `table=`).
+/// Config-driven overload (closed_system_config_from).
 [[nodiscard]] ClosedSystemResult run_closed_system(const config::Config& cfg);
 
 /// Aggregate of `repeats` closed-system runs. Event counts are kept both as

@@ -1,8 +1,9 @@
 #include "sim/open_system.hpp"
 
 #include <stdexcept>
+#include <string>
 
-#include "ownership/ownership.hpp"
+#include "ownership/tagless_table.hpp"
 
 namespace tmb::sim {
 
@@ -29,7 +30,6 @@ OpenSystemConfig open_system_config_from(const config::Config& cfg) {
     out.write_footprint = cfg.get_u64("footprint", out.write_footprint);
     out.alpha = cfg.get_double("alpha", out.alpha);
     out.table_entries = cfg.get_u64("entries", out.table_entries);
-    out.table = cfg.get("table", out.table);
     out.experiments = cfg.get_u32("experiments", out.experiments);
     out.seed = cfg.get_u64("seed", out.seed);
     out.non_tx_accesses_per_step =
@@ -54,10 +54,8 @@ OpenSystemResult run_open_system(const OpenSystemConfig& config) {
 
     // Blocks ARE entry indices (the paper assigns blocks to random entries
     // directly), so use the identity-like hash.
-    const auto table_ptr = ownership::make_table(
-        config.table, {.entries = config.table_entries,
-                       .hash = util::HashKind::kShiftMask});
-    ownership::AnyTable& table = *table_ptr;
+    ownership::TaglessTable table({.entries = config.table_entries,
+                                   .hash = util::HashKind::kShiftMask});
 
     util::Xoshiro256 rng{config.seed};
     OpenSystemResult result;

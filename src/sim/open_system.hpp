@@ -14,11 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "config/config.hpp"
-#include "ownership/any_table.hpp"
 #include "util/rng.hpp"
 
 namespace tmb::sim {
@@ -28,13 +26,10 @@ struct OpenSystemConfig {
     std::uint32_t concurrency = 2;       ///< C, in [2, ownership::kMaxTx]
     std::uint64_t write_footprint = 10;  ///< W (writes per transaction)
     double alpha = 2.0;                  ///< reads per write
-    std::uint64_t table_entries = 4096;  ///< N
-    /// Ownership-table organization: "tagless" or "tagged"
-    /// (ownership::make_table). As in the closed system, blocks ARE entry
-    /// indices here (the paper's abstraction), so organizations cannot
-    /// differ on conflict counts; the knob is for interface uniformity. The
-    /// trace-alias and hybrid drivers ablate real aliasing.
-    std::string table = "tagless";
+    /// N. Blocks ARE entry indices here (the paper's abstraction), so the
+    /// simulation runs a TaglessTable: a tagged one would count the same
+    /// conflicts. The trace-alias and hybrid drivers ablate real aliasing.
+    std::uint64_t table_entries = 4096;
     std::uint32_t experiments = 1000;    ///< paper: 1000 per data point
     std::uint64_t seed = 1;
 
@@ -68,7 +63,7 @@ struct OpenSystemResult {
 };
 
 /// Parses an OpenSystemConfig from string key/values: `concurrency`,
-/// `footprint`, `alpha`, `entries`, `table`, `experiments`, `seed`,
+/// `footprint`, `alpha`, `entries`, `experiments`, `seed`,
 /// `non_tx_per_step`, `non_tx_write_fraction`.
 [[nodiscard]] OpenSystemConfig open_system_config_from(
     const config::Config& cfg);
@@ -76,7 +71,7 @@ struct OpenSystemResult {
 /// Runs the open-system Monte Carlo at one configuration.
 [[nodiscard]] OpenSystemResult run_open_system(const OpenSystemConfig& config);
 
-/// Config-driven overload (organization selected by `table=`).
+/// Config-driven overload (open_system_config_from).
 [[nodiscard]] OpenSystemResult run_open_system(const config::Config& cfg);
 
 /// Convenience sweep: one result per write footprint in `footprints`, all

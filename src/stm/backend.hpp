@@ -42,26 +42,34 @@ public:
     virtual void park() noexcept {}
     virtual void unpark() {}
 
-    /// This context's counters. Only the thread running the context writes
-    /// them, with plain increments; Stm::stats() reads them while the
-    /// context is parked and adds them to the retired total when it is
-    /// destroyed.
+    /// This context's counters, the allocator's included. Only the thread
+    /// running the context writes them, with plain increments;
+    /// Stm::stats() reads them while the context is parked and adds them to
+    /// the retired total once release_reclaim() has run, so teardown's own
+    /// counts are included.
     StmStats counts;
     /// Where the engine counts: `counts`, except in the adaptive wrapper's
     /// inner contexts, which count into their wrapper context's block.
     StmStats* stats = &counts;
 
     /// Binds this context to the runtime's reclamation domain: registers
-    /// an epoch pin slot, sizes the free-block cache, assigns a retirement
-    /// shard, and enables tx_alloc/tx_free (txalloc.hpp). The runtime binds
-    /// every context it hands to a Transaction; the adaptive wrapper's
-    /// *inner* contexts stay unbound (only the outer context is ever
-    /// visible to the attempt loop).
+    /// an epoch pin slot, sizes the free-block cache, and enables
+    /// tx_alloc/tx_free (txalloc.hpp). The runtime binds every context it
+    /// hands to a Transaction; the adaptive wrapper's *inner* contexts stay
+    /// unbound (only the outer context is ever visible to the attempt
+    /// loop).
     void bind_reclaim(ReclaimDomain& domain) {
         reclaim_domain = &domain;
-        reclaim_slot = domain.register_slot();
+        reclaim_slot = domain.register_slot(counts);
         domain.bind_context(*this);
     }
+
+    /// Tears down the reclamation binding: rolls back a stray speculative
+    /// log, flushes the retire buffer, spills the magazines into the depot
+    /// and unregisters the pin slot, counting into `counts`. Idempotent;
+    /// the destructor runs it too, but the runtime calls it first whenever
+    /// it keeps the block.
+    void release_reclaim() noexcept;
 
     /// Transactional-allocation state (txalloc.hpp), applied by the
     /// runtime's attempt loop: rollback on abort, retire on commit,
@@ -73,9 +81,8 @@ public:
     /// same-transaction alloc+free pairs push — no shared state touched.
     BlockCache cache;
     /// Commit-deferred frees park here (no lock) until maintain() flushes
-    /// a batch into `reclaim_shard`'s striped retirement shard.
+    /// a batch into the domain's retired list.
     std::vector<RetiredBlock> retire_buffer;
-    std::uint32_t reclaim_shard = 0;
     /// Commits since the last reclamation poll (maintain() cadence).
     std::uint32_t maintain_tick = 0;
 };
@@ -135,8 +142,9 @@ inline constexpr std::uint32_t kTaglessInlineBlocks = 64;
 
 /// The engine StmConfig::backend names, built for one Stm instance (the
 /// adaptive wrapper builds its epochs' engines through this too). Only the
-/// adaptive wrapper uses the reclamation domain: it drains it before
-/// retiring a swapped-out engine.
+/// adaptive wrapper uses the reclamation domain: it drains it, counting
+/// into the swapping context's block, before retiring a swapped-out
+/// engine.
 [[nodiscard]] std::unique_ptr<Backend> make_backend(const StmConfig& config,
                                                     ReclaimDomain& reclaim);
 

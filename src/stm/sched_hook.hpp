@@ -56,7 +56,7 @@ enum class YieldSite : std::uint8_t {
     kReclaimPoll = 11,     ///< ReclaimDomain::poll reclamation pass
     kCacheRefill = 12,     ///< magazine miss about to take the depot lock
     kCacheSpill = 13,      ///< overfull magazine spilling to the depot
-    kShardFlush = 14,      ///< retire-buffer batch parking in its shard
+    kShardFlush = 14,      ///< retire-buffer batch joining the retired list
     /// Adaptive-policy *decision* sites: which transition the staged config
     /// represents, announced from the same begin-path position as
     /// kAdaptSwap. Splitting resize from engine-switch lets the coverage
@@ -95,10 +95,11 @@ enum class YieldPoint : std::uint8_t {
     /// Allocator maintenance (txalloc.hpp). kCacheRefill fires in tx_alloc
     /// before a magazine miss takes the shared depot lock; kCacheSpill /
     /// kShardFlush fire in ReclaimDomain::maintain before an overfull
-    /// magazine spills to the depot / a retire-buffer batch is parked in
-    /// its shard. All three run from the same pre-attempt / attempt-body
-    /// positions as kAlloc and kReclaim — never between a commit and its
-    /// completion — so the commit-order argument is unaffected.
+    /// magazine spills to the depot / a retire-buffer batch joins the
+    /// domain's retired list. All three run from the same pre-attempt /
+    /// attempt-body positions as kAlloc and kReclaim — never between a
+    /// commit and its completion — so the commit-order argument is
+    /// unaffected.
     kCacheRefill = 9,
     kCacheSpill = 10,
     kShardFlush = 11,

@@ -1,10 +1,8 @@
 #include "stm/stm.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "stm/backend.hpp"
 #include "stm/contention.hpp"
@@ -128,7 +126,6 @@ StmConfig stm_config_from(const config::Config& cfg) {
         out.contention.policy = contention_policy_from(*policy);
     }
     out.cache_blocks = cfg.get_u32("cache_blocks", out.cache_blocks);
-    out.reclaim_shards = cfg.get_u32("reclaim_shards", out.reclaim_shards);
     return out;
 }
 
@@ -172,13 +169,9 @@ void Transaction::retry() {
 class Stm::Impl {
 public:
     explicit Impl(StmConfig config) : config_(std::move(config)) {
-        // Shape the reclamation domain (magazine capacity, shard count,
-        // flush/poll cadence) before anything can bind a context to it.
-        const std::uint32_t shards =
-            config_.reclaim_shards != 0
-                ? config_.reclaim_shards
-                : std::max(1u, std::thread::hardware_concurrency());
-        reclaim_.configure(config_.cache_blocks, shards);
+        // Shape the reclamation domain (magazine capacity, flush/poll
+        // cadence) before anything can bind a context to it.
+        reclaim_.configure(config_.cache_blocks);
         backend_ = detail::make_backend(config_, reclaim_);
         // Full capacity up front: release_context's push_back must not
         // throw (it runs inside a scope guard, possibly mid-unwind).
@@ -213,22 +206,33 @@ public:
     }
 
     void release_context(std::unique_ptr<detail::TxContext> cx) {
-        // Flush buffered retired blocks into their shard so a pooled
+        // Flush buffered retired blocks into the retired list so a pooled
         // context never sits on unreclaimable memory; park() then gives
         // back its TxId.
         reclaim_.flush_context(*cx);
         cx->park();
-        const std::lock_guard<std::mutex> guard(pool_mutex_);
-        if (context_pool_.size() < kMaxPooledContexts) {
-            context_pool_.push_back(std::move(cx));
-        } else {
-            retired_.merge(cx->counts);  // `cx` dies after the guard releases
+        {
+            const std::lock_guard<std::mutex> guard(pool_mutex_);
+            if (context_pool_.size() < kMaxPooledContexts) {
+                context_pool_.push_back(std::move(cx));
+                return;
+            }
         }
+        retire(std::move(cx));
     }
 
-    /// Adds a context's block to the retired total; the context is about
-    /// to be destroyed (an Executor's).
-    void retire(const StmStats& counts) {
+    /// Destroys a context (an Executor's, or a pooled one the full pool
+    /// turned away) and adds its block to the retired total. The
+    /// reclamation teardown counts too, so it runs before the merge; the
+    /// destructor runs on return, outside the pool mutex.
+    void retire(std::unique_ptr<detail::TxContext> cx) {
+        cx->release_reclaim();
+        add_retired(cx->counts);
+    }
+
+    /// Adds a block to the retired total: a retiring context's, or the
+    /// one a reclaim_drain() counted into.
+    void add_retired(const StmStats& counts) {
         const std::lock_guard<std::mutex> guard(pool_mutex_);
         retired_.merge(counts);
     }
@@ -265,17 +269,7 @@ std::unique_ptr<Stm> Stm::create(const config::Config& cfg) {
     return std::make_unique<Stm>(stm_config_from(cfg));
 }
 
-StmStats Stm::stats() const noexcept {
-    StmStats out = impl_->stats();
-    // Allocator counters live on the reclamation domain, not in a context,
-    // so the instance view carries them for Executor-run transactions too.
-    const ReclaimStats reclaim = impl_->reclaim_.stats();
-    out.alloc_cache_hits = reclaim.alloc_cache_hits;
-    out.alloc_cache_misses = reclaim.alloc_cache_misses;
-    out.reclaim_shard_flushes = reclaim.reclaim_shard_flushes;
-    out.domain_mutex_acquires = reclaim.domain_mutex_acquires;
-    return out;
-}
+StmStats Stm::stats() const noexcept { return impl_->stats(); }
 
 const StmConfig& Stm::config() const noexcept { return impl_->config_; }
 
@@ -311,8 +305,8 @@ void Stm::run_in(detail::BodyRef body, detail::TxContext& cx,
 
     // Executor-quiescent point: between this context's transactions nothing
     // is pinned here, so allocator maintenance runs — flush a full retire
-    // buffer into its shard, spill an overfull magazine, and (on this
-    // context's poll cadence) advance reclamation. O(1) when idle.
+    // buffer into the retired list, spill an overfull magazine, and (on
+    // this context's poll cadence) advance reclamation. O(1) when idle.
     reclaim.maintain(cx);
 
     std::uint32_t attempts = 0;
@@ -385,10 +379,19 @@ std::uint64_t Stm::occupied_metadata_entries() const noexcept {
 }
 
 ReclaimStats Stm::reclaim_stats() const noexcept {
-    return impl_->reclaim_.stats();
+    const StmStats s = stats();
+    return {.tx_allocs = s.tx_allocs,
+            .speculative_rollbacks = s.speculative_rollbacks,
+            .tx_frees = s.tx_frees,
+            .reclaimed = s.reclaimed};
 }
 
-void Stm::reclaim_drain() noexcept { impl_->reclaim_.drain_all(); }
+void Stm::reclaim_drain() noexcept {
+    // Drained blocks' destructors run here, outside the pool mutex.
+    StmStats drained;
+    impl_->reclaim_.drain_all(drained);
+    impl_->add_retired(drained);
+}
 
 detail::ReclaimDomain& Stm::reclaim_domain() noexcept {
     return impl_->reclaim_;
@@ -404,7 +407,7 @@ Executor::Executor(Stm& stm)
       cm_seed_(stm.impl_->cm_seed_.fetch_add(0x9e3779b97f4a7c15ULL,
                                              std::memory_order_relaxed)) {}
 
-Executor::~Executor() { stm_.impl_->retire(cx_->counts); }
+Executor::~Executor() { stm_.impl_->retire(std::move(cx_)); }
 
 void Executor::run(detail::BodyRef body) {
     // Iterated-mix64 walk from this executor's private starting point — no

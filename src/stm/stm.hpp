@@ -148,9 +148,6 @@ struct StmConfig {
     /// restores the per-commit retire/poll cadence — the differential
     /// baseline for tests.
     std::uint32_t cache_blocks = 64;
-    /// Striped retirement shards in the reclamation domain. 0 (default) =
-    /// hardware concurrency.
-    std::uint32_t reclaim_shards = 0;
     /// Policy layer (backend = kAdaptive only).
     AdaptConfig adapt{};
 };
@@ -170,8 +167,6 @@ struct StmConfig {
 ///   cache_blocks      free-block cache capacity per size class per context
 ///                     (default 64; 0 = cache off + per-commit reclaim
 ///                     cadence, the differential-test baseline)
-///   reclaim_shards    striped retirement shards (default 0 = hardware
-///                     concurrency)
 ///
 /// backend=adaptive adds:
 ///   engine       initial wrapped engine: table (organization from `table`,
@@ -209,14 +204,17 @@ struct StmStats {
     /// changed the ownership-table entry count.
     std::uint64_t policy_switches = 0;
     std::uint64_t table_resizes = 0;
-    /// Transactional allocator (txalloc.hpp): tx_allocs served from a
-    /// per-context magazine vs everything else (depot refill or heap), how
-    /// many retire-buffer batches were parked in a shard, and every
-    /// acquisition of any reclamation-domain mutex (epoch registry, shard,
-    /// depot) — the lock-pressure metric the free-block cache is meant to
-    /// crush. These four live on the reclamation domain, not in a context:
-    /// Stm::stats() fills them in (for Executor-run transactions too) and
-    /// Executor::stats() leaves them 0. Exact at quiescent points.
+    /// Transactional allocator (txalloc.hpp), counted into the block of
+    /// the context that caused the event. First the ledger, field for
+    /// field as in ReclaimStats (Stm::reclaim_stats() reports these four).
+    std::uint64_t tx_allocs = 0;
+    std::uint64_t speculative_rollbacks = 0;
+    std::uint64_t tx_frees = 0;
+    std::uint64_t reclaimed = 0;
+    /// tx_allocs served from the context's magazine vs the rest (depot
+    /// refill or heap), retire-buffer batches flushed into the domain's
+    /// retired list, and every acquisition of a reclamation-domain mutex —
+    /// the lock-pressure metric the free-block cache is meant to crush.
     std::uint64_t alloc_cache_hits = 0;
     std::uint64_t alloc_cache_misses = 0;
     std::uint64_t reclaim_shard_flushes = 0;
@@ -258,6 +256,8 @@ struct StmStats {
             &StmStats::tl2_validation_checks,
             &StmStats::clock_cas_failures,
             &StmStats::policy_switches,  &StmStats::table_resizes,
+            &StmStats::tx_allocs,        &StmStats::speculative_rollbacks,
+            &StmStats::tx_frees,         &StmStats::reclaimed,
             &StmStats::alloc_cache_hits, &StmStats::alloc_cache_misses,
             &StmStats::reclaim_shard_flushes,
             &StmStats::domain_mutex_acquires,
@@ -550,19 +550,23 @@ public:
     /// The sum of every context's block except those of live Executors:
     /// the pooled contexts of atomically() calls plus every context
     /// retired so far (destroyed Executors, and pooled contexts dropped
-    /// when the pool was full), with the reclamation domain's allocator
-    /// counters. Once every Executor is gone it covers every transaction
-    /// the instance ran; while one lives, merge() its stats() in.
+    /// when the pool was full) and every reclaim_drain(). Allocator
+    /// counters included: an Executor's allocations, and the blocks other
+    /// contexts released for it, appear here only once it is destroyed.
+    /// Once every Executor is gone it covers every transaction the
+    /// instance ran; while one lives, merge() its stats() in.
     [[nodiscard]] StmStats stats() const noexcept;
     [[nodiscard]] const StmConfig& config() const noexcept;
 
-    /// Transactional-allocation counters (tx_alloc/tx_free/reclamation);
-    /// exact at quiescent points, like occupied_metadata_entries().
+    /// The transactional-allocation ledger (tx_alloc/tx_free/reclamation)
+    /// out of stats(); exact at quiescent points with no live Executor,
+    /// like occupied_metadata_entries().
     [[nodiscard]] ReclaimStats reclaim_stats() const noexcept;
 
-    /// Releases every retired-but-unreclaimed block immediately. Quiescent
-    /// points only (no transaction in flight) — the runner and tests call
-    /// this after joining worker threads; the destructor drains implicitly.
+    /// Releases every retired-but-unreclaimed block immediately, counting
+    /// into the instance's retired total. Quiescent points only (no
+    /// transaction in flight) — the runner and tests call this after
+    /// joining worker threads; the destructor drains implicitly.
     void reclaim_drain() noexcept;
 
     /// The instance's reclamation domain — harness/test hook (observer
@@ -598,8 +602,9 @@ private:
 ///     Stm::atomically contexts hold none between calls, so Executors
 ///     created one after another on a quiet Stm bind TxIds 0, 1, 2, ...),
 ///     and
-///   * counts into that context's block, which its destructor adds to the
-///     Stm's retired total (Stm::stats()).
+///   * counts into that context's block — allocator counters included —
+///     which its destructor adds to the Stm's retired total (Stm::stats())
+///     after tearing down the context's reclamation state.
 ///
 /// An Executor must be used by one thread at a time; distinct Executors of
 /// one Stm may run fully concurrently. It must not outlive its Stm.
@@ -618,10 +623,9 @@ public:
             [this](detail::BodyRef body) { run(body); }, std::forward<F>(fn));
     }
 
-    /// This executor's own counters: every transaction it ran, conflicts
-    /// and engine counters included. The allocator counters stay 0 (they
-    /// live on the reclamation domain; see Stm::stats()). Read it from the
-    /// thread that runs the executor, or after joining that thread.
+    /// This executor's own counters: every transaction it ran, with its
+    /// conflict, engine and allocator counters. Read it from the thread
+    /// that runs the executor, or after joining that thread.
     [[nodiscard]] StmStats stats() const noexcept;
 
 private:

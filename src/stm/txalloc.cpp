@@ -15,14 +15,25 @@ namespace tmb::stm {
 namespace detail {
 
 namespace {
+
 constexpr std::uint64_t kNoPin = std::numeric_limits<std::uint64_t>::max();
-/// Cache hit/miss counters are absorbed into the domain atomics once this
-/// many events accumulate locally (and at context release/retire).
-constexpr std::uint64_t kCounterAbsorbBatch = 256;
+
+/// Every domain mutex is taken through here, so each acquisition lands in
+/// the block of whoever caused it.
+[[nodiscard]] std::unique_lock<std::mutex> lock_counted(std::mutex& m,
+                                                        StmStats& stats) {
+    ++stats.domain_mutex_acquires;
+    return std::unique_lock<std::mutex>(m);
+}
+
 }  // namespace
 
-void ReclaimDomain::configure(std::uint32_t cache_blocks,
-                              std::uint32_t shards) {
+ReclaimDomain::~ReclaimDomain() {
+    StmStats unread;  // the domain dies with its Stm: nobody reads these
+    drain_all(unread);
+}
+
+void ReclaimDomain::configure(std::uint32_t cache_blocks) {
     cache_blocks_ = cache_blocks;
     depot_cap_ = cache_blocks * 8;
     // Cache off restores the pre-cache cadence (flush and poll every
@@ -30,16 +41,12 @@ void ReclaimDomain::configure(std::uint32_t cache_blocks,
     // steady-state commits touch no domain lock.
     flush_batch_ = cache_blocks != 0 ? 32 : 1;
     poll_period_ = cache_blocks != 0 ? 32 : 1;
-    if (shards == 0) shards = 1;
-    // Grow only: shard addresses must stay stable once batches are in
-    // flight (extra shards from a wider earlier configure stay empty).
-    while (shards_.size() < shards) shards_.emplace_back();
     // Full shelf capacity up front: depot_put_bulk runs in noexcept paths.
     for (auto& shelf : depot_.shelves) shelf.reserve(depot_cap_);
 }
 
-ReclaimSlot* ReclaimDomain::register_slot() {
-    auto lock = lock_counted(epoch_mutex_);
+ReclaimSlot* ReclaimDomain::register_slot(StmStats& stats) {
+    auto lock = lock_counted(epoch_mutex_, stats);
     if (!free_slots_.empty()) {
         ReclaimSlot* slot = free_slots_.back();
         free_slots_.pop_back();
@@ -48,10 +55,11 @@ ReclaimSlot* ReclaimDomain::register_slot() {
     return &slots_.emplace_back();
 }
 
-void ReclaimDomain::unregister_slot(ReclaimSlot* slot) noexcept {
+void ReclaimDomain::unregister_slot(ReclaimSlot* slot,
+                                    StmStats& stats) noexcept {
     if (slot == nullptr) return;
     slot->state.store(0, std::memory_order_seq_cst);
-    auto lock = lock_counted(epoch_mutex_);
+    auto lock = lock_counted(epoch_mutex_, stats);
     free_slots_.push_back(slot);
 }
 
@@ -65,19 +73,16 @@ void ReclaimDomain::bind_context(TxContext& cx) {
             mag.reserve(cache_blocks_ + kCacheSpillSlack);
         }
     }
-    cx.reclaim_shard = next_shard_.fetch_add(1, std::memory_order_relaxed) %
-                       static_cast<std::uint32_t>(shards_.size());
 }
 
 void ReclaimDomain::note_alloc(void* ptr) noexcept {
-    tx_allocs_.fetch_add(1, std::memory_order_relaxed);
     if (ReclaimObserver* obs = observer_.load(std::memory_order_relaxed)) {
         obs->on_alloc(ptr);
     }
 }
 
-bool ReclaimDomain::release_destroy(const RetiredBlock& block,
-                                    TxContext* cx) noexcept {
+bool ReclaimDomain::release_destroy(const RetiredBlock& block, TxContext* cx,
+                                    StmStats& stats) noexcept {
     if (ReclaimObserver* obs = observer_.load(std::memory_order_relaxed)) {
         // Impounded: no destructor, no cache, no free — the observer owns
         // the memory now. Cached blocks take this gate too, so a lifetime
@@ -86,26 +91,27 @@ bool ReclaimDomain::release_destroy(const RetiredBlock& block,
     }
     block.destroy(block.ptr);
     if (block.size_class != kUncachedClass) {
-        dispose(block.ptr, block.size_class, cx);
+        dispose(block.ptr, block.size_class, cx, stats);
     }
     return true;
 }
 
-void ReclaimDomain::dispose(void* ptr, std::uint16_t sc,
-                            TxContext* cx) noexcept {
+void ReclaimDomain::dispose(void* ptr, std::uint16_t sc, TxContext* cx,
+                            StmStats& stats) noexcept {
     if (cx != nullptr &&
         cx->cache.push(ptr, sc, cx->cache.cap_blocks + kCacheSpillSlack)) {
         return;
     }
-    depot_put_bulk(sc, &ptr, 1);
+    depot_put_bulk(sc, &ptr, 1, stats);
 }
 
 void ReclaimDomain::depot_put_bulk(std::uint16_t sc, void** blocks,
-                                   std::size_t count) noexcept {
+                                   std::size_t count,
+                                   StmStats& stats) noexcept {
     std::size_t taken = 0;
     if (depot_cap_ != 0 && count != 0 &&
         depot_.counts[sc].load(std::memory_order_relaxed) < depot_cap_) {
-        auto lock = lock_counted(depot_.mutex);
+        auto lock = lock_counted(depot_.mutex, stats);
         auto& shelf = depot_.shelves[sc];
         while (taken < count && shelf.size() < depot_cap_) {
             shelf.push_back(blocks[taken++]);
@@ -124,7 +130,7 @@ void* ReclaimDomain::cache_refill(TxContext& cx, std::uint16_t sc) {
     // Yield before the lock: a cancelling throw here holds nothing.
     scheduler_yield(YieldPoint::kCacheRefill, YieldSite::kCacheRefill);
     void* out = nullptr;
-    auto lock = lock_counted(depot_.mutex);
+    auto lock = lock_counted(depot_.mutex, cx.counts);
     auto& shelf = depot_.shelves[sc];
     // Batch refill: one block to hand out now plus up to half a magazine
     // for future misses, amortizing the depot lock.
@@ -159,8 +165,9 @@ void ReclaimDomain::rollback(TxContext& cx) noexcept {
     // blocks were never published, so cacheable storage recycles straight
     // into this context's magazine.
     for (auto it = log.allocs.rbegin(); it != log.allocs.rend(); ++it) {
-        speculative_rollbacks_.fetch_add(1, std::memory_order_relaxed);
-        (void)release_destroy({it->ptr, it->destroy, it->size_class}, &cx);
+        ++cx.counts.speculative_rollbacks;
+        (void)release_destroy({it->ptr, it->destroy, it->size_class}, &cx,
+                              cx.counts);
     }
     log.clear();  // deferred frees of an aborted attempt are no-ops
 }
@@ -168,9 +175,7 @@ void ReclaimDomain::rollback(TxContext& cx) noexcept {
 void ReclaimDomain::commit(TxContext& cx) {
     TxMemLog& log = cx.mem;
     if (log.empty()) return;
-    std::uint64_t frees = 0;
-    std::uint64_t recycled = 0;
-    std::uint64_t buffered = 0;
+    StmStats& stats = cx.counts;
     const bool eager =
         test_faults().eager_reclaim.load(std::memory_order_relaxed);
     const bool leaky =
@@ -182,20 +187,21 @@ void ReclaimDomain::commit(TxContext& cx) {
     // completes), so no concurrent attempt can hold it.
     for (const TxAllocRecord& rec : log.allocs) {
         if (!rec.freed) continue;
-        ++frees;
-        ++recycled;
-        (void)release_destroy({rec.ptr, rec.destroy, rec.size_class}, &cx);
+        ++stats.tx_frees;
+        ++stats.reclaimed;
+        (void)release_destroy({rec.ptr, rec.destroy, rec.size_class}, &cx,
+                              stats);
     }
     for (const TxFreeRecord& rec : log.frees) {
-        ++frees;
+        ++stats.tx_frees;
         if (eager) {
             // Fault injection: free committed-freed blocks immediately, as
             // a reclamation-free implementation would. Doomed readers then
             // dereference released memory — the lifetime oracle must catch
             // it.
-            ++recycled;
+            ++stats.reclaimed;
             (void)release_destroy({rec.ptr, rec.destroy, rec.size_class},
-                                  &cx);
+                                  &cx, stats);
         } else if (leaky && rec.size_class != kUncachedClass) {
             // Fault injection: a broken cache that recycles a freed block
             // into the magazine without waiting for a safe epoch — and
@@ -213,56 +219,47 @@ void ReclaimDomain::commit(TxContext& cx) {
                 !impounded) {
                 ::operator delete(rec.ptr);
             }
-            ++recycled;
+            ++stats.reclaimed;
         } else {
             // Deferred: park in the context's retire buffer — no lock; the
             // buffer's capacity is retained, so steady-state commits stay
             // allocation-free. maintain()/flush_context() moves batches
-            // into a shard.
+            // into the retired list.
             cx.retire_buffer.push_back(
                 {rec.ptr, rec.destroy, rec.size_class});
-            ++buffered;
         }
     }
-    if (buffered != 0) pending_.fetch_add(buffered, std::memory_order_relaxed);
-    if (recycled != 0) reclaimed_.fetch_add(recycled, std::memory_order_relaxed);
-    tx_frees_.fetch_add(frees, std::memory_order_relaxed);
     log.clear();
 }
 
-void ReclaimDomain::flush_retired(TxContext& cx) noexcept {
+void ReclaimDomain::flush_context(TxContext& cx) noexcept {
     if (cx.retire_buffer.empty()) return;
-    std::uint64_t epoch;
+    const std::uint64_t n = cx.retire_buffer.size();
     {
         // The batch's tag is read under the mutex that also guards epoch
         // advancement, so a tag can never lag an advance: any attempt
         // still holding one of these pointers pinned before the frees
         // committed, at an epoch <= the commit-time epoch <= this one
         // (tagging at flush time is only more conservative).
-        auto lock = lock_counted(epoch_mutex_);
-        epoch = global_epoch_.load(std::memory_order_relaxed);
-    }
-    Shard& shard = shards_[cx.reclaim_shard];
-    const std::uint64_t n = cx.retire_buffer.size();
-    {
-        auto lock = lock_counted(shard.mutex);
+        auto lock = lock_counted(epoch_mutex_, cx.counts);
+        const std::uint64_t epoch =
+            global_epoch_.load(std::memory_order_relaxed);
         // Epochs are monotonic, so a batch either joins the newest bucket
         // or opens a fresh one — buckets stay sorted by construction.
-        if (shard.buckets.empty() || shard.buckets.back().epoch != epoch) {
+        if (retired_.empty() || retired_.back().epoch != epoch) {
             std::vector<RetiredBlock> blocks;
-            if (!shard.spare.empty()) {
-                blocks = std::move(shard.spare.back());
-                shard.spare.pop_back();
+            if (!spare_.empty()) {
+                blocks = std::move(spare_.back());
+                spare_.pop_back();
             }
-            shard.buckets.push_back({epoch, std::move(blocks)});
+            retired_.push_back({epoch, std::move(blocks)});
         }
-        auto& dst = shard.buckets.back().blocks;
+        auto& dst = retired_.back().blocks;
         dst.insert(dst.end(), cx.retire_buffer.begin(),
                    cx.retire_buffer.end());
-        shard.flushed.fetch_add(n, std::memory_order_relaxed);
+        retired_count_.fetch_add(n, std::memory_order_relaxed);
     }
-    flushed_total_.fetch_add(n, std::memory_order_relaxed);
-    reclaim_shard_flushes_.fetch_add(1, std::memory_order_relaxed);
+    ++cx.counts.reclaim_shard_flushes;
     cx.retire_buffer.clear();
 }
 
@@ -272,31 +269,17 @@ void ReclaimDomain::spill_cache(TxContext& cx) noexcept {
         auto& mag = cx.cache.magazines[sc];
         if (mag.size() <= cx.cache.cap_blocks) continue;
         const std::size_t excess = mag.size() - cx.cache.cap_blocks;
-        depot_put_bulk(sc, mag.data() + cx.cache.cap_blocks, excess);
+        depot_put_bulk(sc, mag.data() + cx.cache.cap_blocks, excess,
+                       cx.counts);
         mag.resize(cx.cache.cap_blocks);
         cx.cache.bytes -= excess * class_bytes(sc);
     }
 }
 
-void ReclaimDomain::absorb_cache_counters(TxContext& cx) noexcept {
-    if (cx.cache.hits != 0) {
-        alloc_cache_hits_.fetch_add(cx.cache.hits, std::memory_order_relaxed);
-        cx.cache.hits = 0;
-    }
-    if (cx.cache.misses != 0) {
-        alloc_cache_misses_.fetch_add(cx.cache.misses,
-                                      std::memory_order_relaxed);
-        cx.cache.misses = 0;
-    }
-}
-
 void ReclaimDomain::maintain(TxContext& cx) {
-    if (cx.cache.hits + cx.cache.misses >= kCounterAbsorbBatch) {
-        absorb_cache_counters(cx);
-    }
     if (cx.retire_buffer.size() >= flush_batch_) {
         scheduler_yield(YieldPoint::kShardFlush, YieldSite::kShardFlush);
-        flush_retired(cx);
+        flush_context(cx);
     }
     if (cx.cache.overfull) {
         scheduler_yield(YieldPoint::kCacheSpill, YieldSite::kCacheSpill);
@@ -304,28 +287,44 @@ void ReclaimDomain::maintain(TxContext& cx) {
     }
     if (++cx.maintain_tick >= poll_period_) {
         cx.maintain_tick = 0;
-        poll_from(&cx);
+        poll_from(&cx, cx.counts);
     }
 }
 
-void ReclaimDomain::poll() { poll_from(nullptr); }
+void ReclaimDomain::poll(StmStats& stats) { poll_from(nullptr, stats); }
 
-void ReclaimDomain::poll_from(TxContext* cx) {
-    // O(1) fast path: nothing parked in any shard. Blocks still buffered
-    // in contexts are not releasable from here anyway.
-    if (flushed_total_.load(std::memory_order_relaxed) == 0) return;
+std::uint64_t ReclaimDomain::take_buckets(std::size_t take,
+                                          std::vector<RetiredBlock>& out) {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < take; ++i) {
+        std::vector<RetiredBlock>& blocks = retired_[i].blocks;
+        n += blocks.size();
+        out.insert(out.end(), blocks.begin(), blocks.end());
+        blocks.clear();
+        spare_.push_back(std::move(blocks));
+    }
+    retired_.erase(retired_.begin(),
+                   retired_.begin() + static_cast<std::ptrdiff_t>(take));
+    retired_count_.fetch_sub(n, std::memory_order_relaxed);
+    return n;
+}
+
+void ReclaimDomain::poll_from(TxContext* cx, StmStats& stats) {
+    // O(1) fast path: the retired list is empty. Blocks still buffered in
+    // contexts are not releasable from here anyway.
+    if (retired_count_.load(std::memory_order_relaxed) == 0) return;
     // Yield before acquiring anything: a cancelling throw here leaks
     // nothing, and the reclaim step becomes an explorable interleaving
     // point for the sched harness.
     scheduler_yield(YieldPoint::kReclaim, YieldSite::kReclaimPoll);
     // Thread-local scratch: eligible blocks must be destroyed outside the
-    // locks (destructors are arbitrary code), and retained capacity keeps
+    // lock (destructors are arbitrary code), and retained capacity keeps
     // the steady-state polling path allocation-free.
     static thread_local std::vector<RetiredBlock> releasable;
     releasable.clear();
-    std::uint64_t limit = kNoPin;
+    std::uint64_t released = 0;
     {
-        auto lock = lock_counted(epoch_mutex_);
+        auto lock = lock_counted(epoch_mutex_, stats);
         const std::uint64_t global =
             global_epoch_.load(std::memory_order_relaxed);
         std::uint64_t min_pinned = kNoPin;
@@ -341,46 +340,19 @@ void ReclaimDomain::poll_from(TxContext* cx) {
             // flushed from now on get a strictly newer tag.
             global_epoch_.store(global + 1, std::memory_order_seq_cst);
         }
-        limit = min_pinned;  // free strictly below
-    }
-    std::uint64_t released = 0;
-    for (Shard& shard : shards_) {
-        if (shard.flushed.load(std::memory_order_relaxed) == 0) continue;
-        auto lock = lock_counted(shard.mutex);
-        // Buckets are sorted by epoch: the releasable ones are a prefix,
-        // and the kept suffix is never re-scanned.
+        // Buckets are sorted by epoch: the ones strictly below every
+        // active pin are a prefix, and the kept suffix is never re-scanned.
         std::size_t take = 0;
-        std::uint64_t n = 0;
-        while (take < shard.buckets.size() &&
-               shard.buckets[take].epoch < limit) {
-            EpochBucket& bucket = shard.buckets[take];
-            n += bucket.blocks.size();
-            releasable.insert(releasable.end(), bucket.blocks.begin(),
-                              bucket.blocks.end());
-            bucket.blocks.clear();
-            shard.spare.push_back(std::move(bucket.blocks));
+        while (take < retired_.size() && retired_[take].epoch < min_pinned) {
             ++take;
         }
-        if (take != 0) {
-            shard.buckets.erase(shard.buckets.begin(),
-                                shard.buckets.begin() +
-                                    static_cast<std::ptrdiff_t>(take));
-            shard.flushed.fetch_sub(n, std::memory_order_relaxed);
-            released += n;
-        }
+        released = take_buckets(take, releasable);
     }
     if (released == 0) return;
-    flushed_total_.fetch_sub(released, std::memory_order_relaxed);
-    pending_.fetch_sub(released, std::memory_order_relaxed);
-    reclaimed_.fetch_add(released, std::memory_order_relaxed);
+    stats.reclaimed += released;
     for (const RetiredBlock& block : releasable) {
-        (void)release_destroy(block, cx);
+        (void)release_destroy(block, cx, stats);
     }
-}
-
-void ReclaimDomain::flush_context(TxContext& cx) noexcept {
-    absorb_cache_counters(cx);
-    flush_retired(cx);
 }
 
 void ReclaimDomain::retire_context(TxContext& cx) noexcept {
@@ -388,35 +360,21 @@ void ReclaimDomain::retire_context(TxContext& cx) noexcept {
     for (std::uint16_t sc = 0; sc < kCacheSizeClasses; ++sc) {
         auto& mag = cx.cache.magazines[sc];
         if (mag.empty()) continue;
-        depot_put_bulk(sc, mag.data(), mag.size());
+        depot_put_bulk(sc, mag.data(), mag.size(), cx.counts);
         mag.clear();
     }
     cx.cache.bytes = 0;
     cx.cache.overfull = false;
 }
 
-void ReclaimDomain::drain_all() noexcept {
+void ReclaimDomain::drain_all(StmStats& stats) noexcept {
     std::vector<RetiredBlock> releasable;
-    std::uint64_t released = 0;
-    for (Shard& shard : shards_) {
-        auto lock = lock_counted(shard.mutex);
-        for (EpochBucket& bucket : shard.buckets) {
-            released += bucket.blocks.size();
-            releasable.insert(releasable.end(), bucket.blocks.begin(),
-                              bucket.blocks.end());
-            bucket.blocks.clear();
-            shard.spare.push_back(std::move(bucket.blocks));
-        }
-        shard.buckets.clear();
-        shard.flushed.store(0, std::memory_order_relaxed);
-    }
-    if (released != 0) {
-        flushed_total_.fetch_sub(released, std::memory_order_relaxed);
-        pending_.fetch_sub(released, std::memory_order_relaxed);
-        reclaimed_.fetch_add(released, std::memory_order_relaxed);
+    {
+        auto lock = lock_counted(epoch_mutex_, stats);
+        stats.reclaimed += take_buckets(retired_.size(), releasable);
     }
     for (const RetiredBlock& block : releasable) {
-        (void)release_destroy(block, nullptr);
+        (void)release_destroy(block, nullptr, stats);
     }
     // Return the depot's free blocks (already released and counted) to the
     // heap, so a drained domain holds no memory at all. With an observer
@@ -426,7 +384,7 @@ void ReclaimDomain::drain_all() noexcept {
     // back — a veto means the observer owns the storage and will free it,
     // and freeing here too would be a real double free.
     ReclaimObserver* obs = observer_.load(std::memory_order_relaxed);
-    auto lock = lock_counted(depot_.mutex);
+    auto lock = lock_counted(depot_.mutex, stats);
     for (std::size_t sc = 0; sc < kCacheSizeClasses; ++sc) {
         for (void* p : depot_.shelves[sc]) {
             if (obs == nullptr || obs->on_reclaim(p)) ::operator delete(p);
@@ -436,34 +394,20 @@ void ReclaimDomain::drain_all() noexcept {
     }
 }
 
-TxContext::~TxContext() {
-    if (reclaim_domain != nullptr) {
-        // A context never retires mid-attempt, so mem is normally empty
-        // here; rolling back defensively keeps an exceptional unwind (e.g.
-        // a throwing harness cancellation racing executor teardown) from
-        // leaking speculative blocks.
-        reclaim_domain->rollback(*this);
-        reclaim_domain->retire_context(*this);
-        reclaim_domain->unregister_slot(reclaim_slot);
-    }
+void TxContext::release_reclaim() noexcept {
+    if (reclaim_domain == nullptr) return;
+    // A context never retires mid-attempt, so mem is normally empty here;
+    // rolling back defensively keeps an exceptional unwind (e.g. a
+    // throwing harness cancellation racing executor teardown) from leaking
+    // speculative blocks.
+    reclaim_domain->rollback(*this);
+    reclaim_domain->retire_context(*this);
+    reclaim_domain->unregister_slot(reclaim_slot, counts);
+    reclaim_domain = nullptr;
+    reclaim_slot = nullptr;
 }
 
-ReclaimStats ReclaimDomain::stats() const noexcept {
-    ReclaimStats s;
-    s.tx_allocs = tx_allocs_.load(std::memory_order_relaxed);
-    s.speculative_rollbacks =
-        speculative_rollbacks_.load(std::memory_order_relaxed);
-    s.tx_frees = tx_frees_.load(std::memory_order_relaxed);
-    s.reclaimed = reclaimed_.load(std::memory_order_relaxed);
-    s.alloc_cache_hits = alloc_cache_hits_.load(std::memory_order_relaxed);
-    s.alloc_cache_misses =
-        alloc_cache_misses_.load(std::memory_order_relaxed);
-    s.reclaim_shard_flushes =
-        reclaim_shard_flushes_.load(std::memory_order_relaxed);
-    s.domain_mutex_acquires =
-        domain_mutex_acquires_.load(std::memory_order_relaxed);
-    return s;
-}
+TxContext::~TxContext() { release_reclaim(); }
 
 }  // namespace detail
 
@@ -483,10 +427,10 @@ void Transaction::alloc_hook() {
 void* Transaction::cache_fetch(std::uint16_t size_class) {
     alloc_hook();
     if (void* p = cx_.cache.pop(size_class)) {
-        ++cx_.cache.hits;
+        ++cx_.counts.alloc_cache_hits;
         return p;
     }
-    ++cx_.cache.misses;
+    ++cx_.counts.alloc_cache_misses;
     if (cx_.reclaim_domain != nullptr) {
         if (void* p = cx_.reclaim_domain->cache_refill(cx_, size_class)) {
             return p;
@@ -506,6 +450,7 @@ void Transaction::cache_unfetch(void* raw, std::uint16_t size_class) noexcept {
 void Transaction::record_alloc(void* ptr, void (*destroy)(void*),
                                std::uint16_t size_class) noexcept {
     cx_.mem.allocs.push_back({ptr, destroy, size_class, false});
+    ++cx_.counts.tx_allocs;
     if (cx_.reclaim_domain != nullptr) cx_.reclaim_domain->note_alloc(ptr);
 }
 

@@ -44,13 +44,20 @@
 //     allocation path is identical either way (a zero-capacity magazine
 //     simply always misses).
 //
-//   * Sharded retirement. Committed frees append to a per-context retire
-//     buffer (no lock); the buffer is flushed in batches into one of N
-//     striped shards, with the batch's epoch tag read once under the epoch
-//     mutex. Within a shard, blocks are partitioned into per-epoch buckets,
-//     so poll() releases whole buckets below the safe epoch and never
+//   * One retired list. Committed frees append to a per-context retire
+//     buffer (no lock); the buffer is flushed in batches into the domain's
+//     retired list, under the epoch mutex that also tags the batch with
+//     the current epoch. The list is partitioned into per-epoch buckets, so
+//     poll() releases whole buckets below the safe epoch and never
 //     re-scans entries it must keep. poll() is O(1) (one relaxed load)
-//     when no shard holds anything.
+//     when the list is empty; otherwise one lock covers the pin scan, the
+//     epoch advance and taking the releasable buckets.
+//
+// Counting. The domain keeps no counters: every allocator event (tx_alloc,
+// rollback, committed free, release, magazine hit or miss, flush, and each
+// domain-mutex acquisition) adds to the StmStats block of the context that
+// caused it, with plain increments. The entry points that take no context
+// (poll(), drain_all() and slot registration) take the block to count into.
 //
 // The hot path of transactions that never allocate is untouched: pin/unpin
 // are two uncontended atomic stores, and maintenance is a couple of
@@ -69,8 +76,11 @@
 
 namespace tmb::stm {
 
-/// Counters for the transactional-allocation subsystem, exposed through
-/// Stm::reclaim_stats(). Monotonic; exact at quiescent points.
+struct StmStats;
+
+/// The transactional-allocation ledger, exposed through
+/// Stm::reclaim_stats(): the StmStats fields of the same names, summed the
+/// way Stm::stats() sums them. Monotonic; exact at quiescent points.
 struct ReclaimStats {
     /// tx_alloc calls that returned (speculative or later committed).
     std::uint64_t tx_allocs = 0;
@@ -82,24 +92,14 @@ struct ReclaimStats {
     /// Retired blocks whose backing memory has actually been released
     /// (recycled into a cache or returned to the heap).
     std::uint64_t reclaimed = 0;
-    /// tx_alloc calls served by the context's own magazine (no lock, no
-    /// heap) vs. everything else (depot refill or ::operator new).
-    std::uint64_t alloc_cache_hits = 0;
-    std::uint64_t alloc_cache_misses = 0;
-    /// Retire-buffer batches flushed into a shard.
-    std::uint64_t reclaim_shard_flushes = 0;
-    /// Every acquisition of any domain-level mutex (epoch, shard, depot,
-    /// slot registration). The lock-pressure metric the per-context caches
-    /// exist to shrink: divide by commits for the per-commit figure.
-    std::uint64_t domain_mutex_acquires = 0;
 
     /// Blocks currently reachable from committed state.
     [[nodiscard]] std::uint64_t live_blocks() const noexcept {
         return tx_allocs - speculative_rollbacks - tx_frees;
     }
     /// Blocks whose free committed but whose memory is still held back for
-    /// possible doomed readers (buffered in a context or parked in a
-    /// shard).
+    /// possible doomed readers (buffered in a context or parked in the
+    /// retired list).
     [[nodiscard]] std::uint64_t pending_blocks() const noexcept {
         return tx_frees - reclaimed;
     }
@@ -189,7 +189,8 @@ struct TxFreeRecord {
 };
 
 /// One committed-freed block awaiting a safe epoch. Epoch tags live on the
-/// shard buckets, not the blocks: a whole flush batch shares one tag.
+/// retired list's buckets, not the blocks: a whole flush batch shares one
+/// tag.
 struct RetiredBlock {
     void* ptr;
     void (*destroy)(void*);
@@ -223,10 +224,6 @@ struct BlockCache {
     std::uint32_t cap_blocks = 0;  ///< per-class target capacity
     std::uint64_t cap_bytes = 0;   ///< total byte budget
     bool overfull = false;         ///< some magazine exceeds cap_blocks
-    /// Plain counters (no atomics on the hot path); the domain absorbs
-    /// them in batches at maintenance/retire time.
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
 
     [[nodiscard]] bool enabled() const noexcept { return cap_blocks != 0; }
 
@@ -258,30 +255,29 @@ struct BlockCache {
 };
 
 /// The reclamation domain — one per Stm instance, shared by every context.
+/// It counts nothing itself (see "Counting" above).
 class ReclaimDomain {
 public:
-    /// Default shape: caches on at the StmConfig defaults, one shard —
-    /// equivalent to the pre-sharding design for directly constructed
-    /// domains in tests. Stm::Impl reconfigures before creating contexts.
-    ReclaimDomain() { configure(64, 1); }
-    ~ReclaimDomain() { drain_all(); }
+    /// Default shape: caches on at the StmConfig default. Stm::Impl
+    /// reconfigures before creating contexts.
+    ReclaimDomain() { configure(64); }
+    ~ReclaimDomain();
 
     ReclaimDomain(const ReclaimDomain&) = delete;
     ReclaimDomain& operator=(const ReclaimDomain&) = delete;
 
-    /// Sets cache capacities and the shard count. Must run before any
-    /// context binds (shards are not resizable once blocks are in flight).
+    /// Sets cache capacities. Must run before any context binds.
     /// cache_blocks == 0 disables the caches AND restores per-commit
     /// flush/poll cadence, making cache-off runs behave like the
     /// pre-cache engine for differential testing.
-    void configure(std::uint32_t cache_blocks, std::uint32_t shards);
+    void configure(std::uint32_t cache_blocks);
 
     /// Registers an epoch slot for a new context (cold path, mutex).
-    [[nodiscard]] ReclaimSlot* register_slot();
-    void unregister_slot(ReclaimSlot* slot) noexcept;
+    [[nodiscard]] ReclaimSlot* register_slot(StmStats& stats);
+    void unregister_slot(ReclaimSlot* slot, StmStats& stats) noexcept;
 
     /// Completes a context's binding (after register_slot): sizes its
-    /// magazines and assigns its retirement shard round-robin.
+    /// magazines.
     void bind_context(TxContext& cx);
 
     /// Marks an attempt in flight: publishes the current epoch into `slot`.
@@ -307,9 +303,9 @@ public:
         slot->state.store(0, std::memory_order_release);
     }
 
-    /// Records a completed tx_alloc (counter + observer). Called at
-    /// allocation time so address reuse is visible to the observer before
-    /// the allocating transaction dereferences the block.
+    /// Shows a completed tx_alloc to the observer. Called at allocation
+    /// time so address reuse is visible to the observer before the
+    /// allocating transaction dereferences the block.
     void note_alloc(void* ptr) noexcept;
 
     /// Refill path for a magazine miss: grabs a batch from the depot shelf
@@ -346,39 +342,35 @@ public:
     /// cancelling throw leaks nothing. O(1) branches when idle.
     void maintain(TxContext& cx);
 
-    /// Unthrottled poll: advances the epoch when every active pin has
-    /// caught up and releases every bucket no active pin can still
-    /// reference. Emits kReclaim (which may throw, see sched_hook.hpp)
-    /// before touching anything when there is work. O(1) when no shard
-    /// holds anything. Releasing does not recycle into any magazine (no
-    /// context at hand); use maintain() on the hot path.
-    void poll();
+    /// Unthrottled poll, counting into `stats`: advances the epoch when
+    /// every active pin has caught up and releases every bucket no active
+    /// pin can still reference. Emits kReclaim (which may throw, see
+    /// sched_hook.hpp) before touching anything when there is work. O(1)
+    /// when the retired list is empty. Releasing does not recycle into any
+    /// magazine (no context at hand); use maintain() on the hot path.
+    void poll(StmStats& stats);
 
-    /// Flushes the context's retire buffer and absorbs its cache counters
-    /// without yielding; called when a context is released back to the
-    /// runtime so drain/pending checks observe every committed free.
+    /// Flushes the context's retire buffer into the retired list without
+    /// yielding; maintain() calls it once the buffer is full, and the
+    /// runtime when a context goes back to the pool, so drain/pending
+    /// checks observe every committed free.
     void flush_context(TxContext& cx) noexcept;
 
     /// Context teardown: flush_context plus spilling the whole magazine
     /// into the depot (overflow goes back to the heap). After this the
     /// context holds no memory; pending/ledger counters balance at
-    /// quiescence. Called from ~TxContext before unregister_slot.
+    /// quiescence. Called from TxContext::release_reclaim before
+    /// unregister_slot.
     void retire_context(TxContext& cx) noexcept;
 
     /// Releases every *flushed* retired block regardless of epochs and
-    /// returns the depot's free blocks to the heap. Caller must guarantee
-    /// no in-flight attempt holds a retired pointer: the Stm destructor,
-    /// the adaptive wrapper's quiesce-and-swap (zero in-flight
-    /// transactions implies no attempt has performed a load), and
-    /// quiescent test/tool code. Blocks still buffered in live contexts
-    /// stay pending until those contexts flush or retire.
-    void drain_all() noexcept;
-
-    [[nodiscard]] bool has_pending() const noexcept {
-        return pending_.load(std::memory_order_relaxed) != 0;
-    }
-
-    [[nodiscard]] ReclaimStats stats() const noexcept;
+    /// returns the depot's free blocks to the heap, counting into `stats`.
+    /// Caller must guarantee no in-flight attempt holds a retired pointer:
+    /// the Stm destructor, the adaptive wrapper's quiesce-and-swap (zero
+    /// in-flight transactions implies no attempt has performed a load),
+    /// and quiescent test/tool code. Blocks still buffered in live
+    /// contexts stay pending until those contexts flush or retire.
+    void drain_all(StmStats& stats) noexcept;
 
     /// Installs (or clears, with nullptr) the lifecycle observer. Quiescent
     /// points only.
@@ -387,21 +379,13 @@ public:
     }
 
 private:
-    /// A shard's blocks, partitioned by retirement epoch (ascending; new
-    /// batches only ever append to the newest bucket or open a fresh one,
-    /// and poll releases a prefix — kept entries are never re-scanned).
+    /// Retired blocks of one epoch. The list keeps buckets in ascending
+    /// epoch order: new batches only ever append to the newest bucket or
+    /// open a fresh one, and poll releases a prefix — kept entries are
+    /// never re-scanned.
     struct EpochBucket {
         std::uint64_t epoch;
         std::vector<RetiredBlock> blocks;
-    };
-    struct alignas(64) Shard {
-        std::mutex mutex;
-        std::vector<EpochBucket> buckets;
-        /// Emptied bucket vectors, recycled so steady-state flushing and
-        /// polling allocate nothing.
-        std::vector<std::vector<RetiredBlock>> spare;
-        /// Blocks currently in buckets (relaxed; poll's skip check).
-        std::atomic<std::uint64_t> flushed{0};
     };
     struct Depot {
         std::mutex mutex;
@@ -410,31 +394,35 @@ private:
         std::array<std::atomic<std::uint32_t>, kCacheSizeClasses> counts{};
     };
 
-    [[nodiscard]] std::unique_lock<std::mutex> lock_counted(std::mutex& m) {
-        domain_mutex_acquires_.fetch_add(1, std::memory_order_relaxed);
-        return std::unique_lock<std::mutex>(m);
-    }
-
     /// Observer gate + destructor + storage disposal for one block.
     /// Returns false when the observer impounded the block (nothing ran).
-    bool release_destroy(const RetiredBlock& block, TxContext* cx) noexcept;
+    bool release_destroy(const RetiredBlock& block, TxContext* cx,
+                         StmStats& stats) noexcept;
     /// Raw-storage disposal: context magazine, then depot, then heap.
-    void dispose(void* ptr, std::uint16_t sc, TxContext* cx) noexcept;
-    void depot_put_bulk(std::uint16_t sc, void** blocks,
-                        std::size_t count) noexcept;
-    void flush_retired(TxContext& cx) noexcept;
+    void dispose(void* ptr, std::uint16_t sc, TxContext* cx,
+                 StmStats& stats) noexcept;
+    void depot_put_bulk(std::uint16_t sc, void** blocks, std::size_t count,
+                        StmStats& stats) noexcept;
     void spill_cache(TxContext& cx) noexcept;
-    void absorb_cache_counters(TxContext& cx) noexcept;
-    void poll_from(TxContext* cx);
+    void poll_from(TxContext* cx, StmStats& stats);
+    /// Moves the retired list's first `take` buckets into `out` and
+    /// returns how many blocks they held. Caller holds epoch_mutex_.
+    std::uint64_t take_buckets(std::size_t take,
+                               std::vector<RetiredBlock>& out);
 
-    std::mutex epoch_mutex_;  ///< guards epoch advancement + slot registry
+    /// Guards the epoch advance, the slot registry and the retired list.
+    std::mutex epoch_mutex_;
     std::atomic<std::uint64_t> global_epoch_{1};
     std::deque<ReclaimSlot> slots_;          // stable addresses
     std::vector<ReclaimSlot*> free_slots_;   // unregistered, reusable
 
-    std::deque<Shard> shards_;  // stable addresses (Shard is immovable)
-    std::atomic<std::uint32_t> next_shard_{0};
-    std::atomic<std::uint64_t> flushed_total_{0};
+    std::vector<EpochBucket> retired_;
+    /// Emptied bucket vectors, recycled so steady-state flushing and
+    /// polling allocate nothing.
+    std::vector<std::vector<RetiredBlock>> spare_;
+    /// Blocks in retired_ (relaxed; poll's O(1) skip check reads it
+    /// without the lock).
+    std::atomic<std::uint64_t> retired_count_{0};
     Depot depot_;
 
     std::uint32_t cache_blocks_ = 0;
@@ -442,17 +430,7 @@ private:
     std::uint32_t flush_batch_ = 1;   ///< retire-buffer flush threshold
     std::uint32_t poll_period_ = 1;   ///< maintain() calls between polls
 
-    std::atomic<std::uint64_t> pending_{0};
     std::atomic<ReclaimObserver*> observer_{nullptr};
-
-    std::atomic<std::uint64_t> tx_allocs_{0};
-    std::atomic<std::uint64_t> speculative_rollbacks_{0};
-    std::atomic<std::uint64_t> tx_frees_{0};
-    std::atomic<std::uint64_t> reclaimed_{0};
-    std::atomic<std::uint64_t> alloc_cache_hits_{0};
-    std::atomic<std::uint64_t> alloc_cache_misses_{0};
-    std::atomic<std::uint64_t> reclaim_shard_flushes_{0};
-    std::atomic<std::uint64_t> domain_mutex_acquires_{0};
 };
 
 /// RAII pin for one attempt; tolerates a null slot (unbound context).

@@ -251,11 +251,9 @@ TEST(SimConfigs, ParseFromSharedKeys) {
     const auto os = sim::open_system_config_from(cfg);
     EXPECT_EQ(os.experiments, 77u);
     EXPECT_DOUBLE_EQ(os.alpha, 1.5);
-    EXPECT_EQ(os.table, "tagged");
 
     const auto cs = sim::closed_system_config_from(cfg);
     EXPECT_EQ(cs.concurrency, 4u);
-    EXPECT_EQ(cs.table, "tagged");
 }
 
 TEST(SimConfigs, ConfigOverloadsRunTheSimulators) {

@@ -138,9 +138,6 @@ TEST_P(FalseConflictModel, TaglessMatchesBirthdayTaggedReportsNone) {
                "(sample "
             << s << ")";
     }
-    // Tagged never conflicted, so its conflict counter stayed at zero — the
-    // satellite claim "zero false conflicts" in counter form.
-    EXPECT_EQ(tagged->counters().conflicts, 0u);
 
     const double lambda = expected_cross_pairs(c, w, n);
     const double predicted = 1.0 - std::exp(-lambda);

@@ -158,17 +158,6 @@ TEST(Tagless, ClearFreesEverything) {
     EXPECT_TRUE(t.acquire_write(2, 1).ok);
 }
 
-TEST(Tagless, CountersAccumulate) {
-    TaglessTable t(direct(16));
-    t.acquire_read(0, 1);
-    t.acquire_write(0, 2);
-    t.acquire_write(1, 2);  // conflict
-    const auto c = t.counters();
-    EXPECT_EQ(c.read_acquires, 1u);
-    EXPECT_EQ(c.write_acquires, 2u);
-    EXPECT_EQ(c.conflicts, 1u);
-}
-
 TEST(Tagless, RejectsZeroEntries) {
     EXPECT_THROW(TaglessTable(direct(0)), std::invalid_argument);
 }
@@ -251,14 +240,6 @@ TEST(Tagged, AliasTraversalCounting) {
     const auto before = t.probe_steps();
     t.acquire_read(1, 9);  // re-find within a 2-record chain: more probes
     EXPECT_GT(t.probe_steps(), before);
-}
-
-TEST(Tagged, TagBitsMatchPaperExample) {
-    // Paper §5: 32-bit addresses, 64-byte blocks (6 offset bits), 4096-entry
-    // table (12 index bits) → 14 tag bits.
-    TaggedTable t({.entries = 4096, .hash = util::HashKind::kShiftMask});
-    EXPECT_EQ(t.tag_bits(32, 6), 14u);
-    EXPECT_EQ(t.tag_bits(64, 6), 46u);
 }
 
 TEST(Tagged, ClearRemovesRecords) {

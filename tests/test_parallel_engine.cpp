@@ -43,7 +43,6 @@ TEST(TxIdCap, ClosedSystemValidatesAgainstTableCapacity) {
     sim::ClosedSystemConfig c{.concurrency = ownership::kMaxTx + 1,
                               .write_footprint = 2,
                               .table_entries = 4096,
-                              .table = "tagless",
                               .target_transactions = 10};
     // 65 > 64: must fail fast with the actual cap in the message, not
     // corrupt entries mid-run.

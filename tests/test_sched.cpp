@@ -459,7 +459,7 @@ TEST(SchedDyn, EagerReclamationIsCaughtAsLifetimeViolation) {
 TEST(SchedDyn, CacheOffSweepPassesTheLifetimeOracle) {
     // The cache-off half of the differential axis the CI fuzz batches
     // sweep: cache_blocks=0 restores the per-commit retire/poll cadence, so
-    // the oracle exercises the sharded pipeline without magazines in play.
+    // the oracle exercises the retire pipeline without magazines in play.
     for (const BackendPair& pair :
          {BackendPair{"tl2", "", false},
           BackendPair{"table", "tagless", false},

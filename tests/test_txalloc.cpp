@@ -6,8 +6,9 @@
 //   3. a committed free only *retires* the block; the memory outlives every
 //      transaction that could still hold the pointer (epoch pins),
 //
-// plus the accounting ledger (Stm::reclaim_stats) those guarantees are
-// audited through.
+// plus the accounting ledger (Stm::reclaim_stats, and the StmStats block of
+// whichever context caused each event) those guarantees are audited
+// through.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -133,6 +134,24 @@ TEST_P(TxAllocAllBackends, SameTransactionAllocFreeIsAppliedAtCommitOnly) {
     EXPECT_EQ(s.pending_blocks(), 0u);
 }
 
+TEST_P(TxAllocAllBackends, ExecutorCountsItsOwnAllocations) {
+    // The allocator counts into the block of the context that allocated,
+    // so a live executor's stats() already shows every magazine lookup,
+    // tx_alloc and tx_free it ran — nothing waits for it to retire.
+    constexpr std::uint64_t kPairs = 64;
+    auto exec = tm_->make_executor();
+    for (std::uint64_t i = 0; i < kPairs; ++i) {
+        std::uint64_t* block = nullptr;
+        exec->atomically(
+            [&](Transaction& tx) { block = tx.tx_alloc<std::uint64_t>(i); });
+        exec->atomically([&](Transaction& tx) { tx.tx_free(block); });
+    }
+    const StmStats s = exec->stats();
+    EXPECT_EQ(s.alloc_cache_hits + s.alloc_cache_misses, kPairs);
+    EXPECT_EQ(s.tx_allocs, kPairs);
+    EXPECT_EQ(s.tx_frees, kPairs);
+}
+
 TEST_P(TxAllocAllBackends, DoubleFreeThrowsAndNullFreeIsNoop) {
     std::uint64_t* block = nullptr;
     tm_->atomically(
@@ -163,35 +182,33 @@ TEST(TxAllocEpochs, PinnedReaderHoldsBackReclamation) {
     // The reader is doomed (its commit-time validation will fail) but will
     // still dereference the pointer — the block must stay mapped until the
     // reader's pin clears. The "reader" here is a manually pinned slot, so
-    // the test controls exactly when it appears and disappears.
+    // the test controls exactly when it appears and disappears; the test's
+    // direct polls count into its own block.
     auto tm = Stm::create(config::Config::from_string("backend=tl2"));
     auto& domain = tm->reclaim_domain();
+    StmStats polled;
 
     std::uint64_t* block = nullptr;
     tm->atomically(
         [&](Transaction& tx) { block = tx.tx_alloc<std::uint64_t>(7); });
 
-    detail::ReclaimSlot* reader = domain.register_slot();
+    detail::ReclaimSlot* reader = domain.register_slot(polled);
     domain.pin(reader);  // the reader's attempt begins: epoch pinned
 
     // The free commits while the reader is pinned at an epoch <= the
     // retirement tag: polling must NOT release the block.
     tm->atomically([&](Transaction& tx) { tx.tx_free(block); });
-    domain.poll();
-    domain.poll();
-    ReclaimStats s = tm->reclaim_stats();
-    EXPECT_EQ(s.tx_frees, 1u);
-    EXPECT_EQ(s.reclaimed, 0u);
-    EXPECT_EQ(s.pending_blocks(), 1u);
+    domain.poll(polled);
+    domain.poll(polled);
+    EXPECT_EQ(tm->reclaim_stats().tx_frees, 1u);
+    EXPECT_EQ(polled.reclaimed, 0u);
     EXPECT_EQ(*block, 7u);  // what the doomed reader touches is intact
 
     // Reader finishes: the pin clears and the next poll releases.
     domain.unpin(reader);
-    domain.poll();
-    s = tm->reclaim_stats();
-    EXPECT_EQ(s.reclaimed, 1u);
-    EXPECT_EQ(s.pending_blocks(), 0u);
-    domain.unregister_slot(reader);
+    domain.poll(polled);
+    EXPECT_EQ(polled.reclaimed, 1u);
+    domain.unregister_slot(reader, polled);
 }
 
 TEST(TxAllocEpochs, ReclamationProceedsPastAReaderPinnedAfterRetirement) {
@@ -200,25 +217,26 @@ TEST(TxAllocEpochs, ReclamationProceedsPastAReaderPinnedAfterRetirement) {
     // pointer: it was unpublished before the reader's first load).
     auto tm = Stm::create(config::Config::from_string("backend=tl2"));
     auto& domain = tm->reclaim_domain();
+    StmStats polled;
 
     std::uint64_t* block = nullptr;
     tm->atomically(
         [&](Transaction& tx) { block = tx.tx_alloc<std::uint64_t>(9); });
     tm->atomically([&](Transaction& tx) { tx.tx_free(block); });
 
-    detail::ReclaimSlot* reader = domain.register_slot();
+    detail::ReclaimSlot* reader = domain.register_slot(polled);
     // First poll may only advance the epoch; pin at the advanced epoch,
     // then poll again: the late pin (> retirement tag) must not block.
-    domain.poll();
+    domain.poll(polled);
     domain.pin(reader);
-    domain.poll();
-    EXPECT_EQ(tm->reclaim_stats().pending_blocks(), 0u);
+    domain.poll(polled);
+    EXPECT_EQ(polled.reclaimed, 1u);
     domain.unpin(reader);
-    domain.unregister_slot(reader);
+    domain.unregister_slot(reader, polled);
 }
 
 // ---------------------------------------------------------------------------
-// Scalability: the per-context caches + sharded retirement exist to take
+// Scalability: the per-context caches + batched retirement exist to take
 // the domain mutexes off the steady-state commit path
 // ---------------------------------------------------------------------------
 
@@ -232,16 +250,16 @@ double mutex_acquires_per_commit(const std::string& spec) {
 }
 
 TEST(TxAllocScalability, CacheCutsDomainMutexPressure) {
-    // With the per-context magazines and batched shard flushing on
+    // With the per-context magazines and batched retire flushing on
     // (defaults), domain-mutex acquisitions per commit on allocation-heavy
     // STAMP-class workloads drop sharply versus cache_blocks=0 (which also
     // restores the per-commit flush/poll cadence of the pre-cache engine —
     // the honest baseline, not a strawman).
-    // One thread and a pinned shard count make both counts exact functions
-    // of the workload (no epoch stalls from a descheduled pin, no shard
-    // count taken from the host), so one run per side suffices. Measured:
-    // vacation 0.911 -> 0.033 (27.6x), kmeans 0.988 -> 0.114 (8.7x),
-    // pipeline 2.584 -> 0.109 (23.7x); the floors sit below those ratios.
+    // One thread makes both counts exact functions of the workload (no
+    // epoch stalls from a descheduled pin), so one run per side suffices.
+    // Measured: vacation 0.456 -> 0.017 (26.8x), kmeans 0.495 -> 0.058
+    // (8.5x), pipeline 1.292 -> 0.055 (23.5x); the floors sit below those
+    // ratios.
     // Workload keys are chosen so frees land on *many* commits, which is
     // what the per-commit flush/poll cadence is priced on: vacation books
     // a full 8-query itinerary, kmeans recenters every ~2 assignments over
@@ -256,7 +274,7 @@ TEST(TxAllocScalability, CacheCutsDomainMutexPressure) {
     for (const auto& [workload, extra, floor] : workloads) {
         const std::string base = std::string("workload=") + workload +
                                  " backend=tl2 entries=65536 threads=1"
-                                 " reclaim_shards=4 ops=4000 seed=7" + extra;
+                                 " ops=4000 seed=7" + extra;
         const double off = mutex_acquires_per_commit(base + " cache_blocks=0");
         const double on = mutex_acquires_per_commit(base);
         EXPECT_GE(off, on * floor)
@@ -294,7 +312,7 @@ TEST(TxAllocContexts, RetiringAnExecutorDrainsItsCachedBlocks) {
     // blocks, then destroy the executor: retire_context must hand every
     // cached block back to the domain (depot or heap) and flush its retire
     // buffer, so the ledger balances with nothing stranded in the dead
-    // context.
+    // context. While the executor lives, its counts are in its own block.
     auto tm = make_stm("backend=tl2 entries=4096");
     constexpr std::uint64_t kOps = 512;
     {
@@ -305,7 +323,7 @@ TEST(TxAllocContexts, RetiringAnExecutorDrainsItsCachedBlocks) {
                 [&](Transaction& tx) { block = tx.tx_alloc<std::uint64_t>(i); });
             exec->atomically([&](Transaction& tx) { tx.tx_free(block); });
         }
-        ReclaimStats s = tm->reclaim_stats();
+        const StmStats s = exec->stats();
         EXPECT_EQ(s.tx_allocs, kOps);
         EXPECT_GT(s.alloc_cache_hits, 0u);  // the magazine was in play
     }
