@@ -14,21 +14,34 @@
 // these methods. Under real threads the same discipline keeps the critical
 // sections a handful of instructions.
 //
-// Eventcount: a dispatcher that finds every ring empty parks on a 32-bit
-// generation word (a futex) instead of sleep-polling, and holds no lock
-// while parked. park() announces itself in a waiter count, fences, reads the
-// generation and re-probes the rings and the closed flag; only if there is
-// still nothing to do does it wait for the generation to move. A successful
-// try_push fences and loads the waiter count, and only when someone is
-// announced bumps the generation and wakes one waiter — with nobody parked
-// a push pays one fence and one load. The two fences form a Dekker pair:
-// either the push sees the announced waiter, or the re-probe sees the push,
-// so no wakeup is lost; a bump between the parker's read and its wait makes
-// the wait return at once. close() bumps the generation and wakes every
+// Spin, then sleep: a dispatcher that finds every ring empty first polls a
+// work hint for up to kSpin (queue.cpp) and returns as soon as it is set:
+// when requests arrive microseconds apart the next push usually lands
+// inside the spin, where a futex sleep and wake would have cost that
+// request about as long again.
+// The hint reads each shard's head and tail and the closed flag with
+// relaxed loads and takes no mutex. head and tail are atomics for that
+// reason only: they are still written under the shard mutex, so the ring
+// protocol and FIFO order do not depend on the hint. It is only a hint: a
+// stale "non-empty" costs the caller one more pass over the rings, whose
+// pops take the mutex, and a push the spin misses is still caught by the
+// eventcount below, so neither loses a wakeup.
+//
+// Eventcount: after the spin, the dispatcher parks on a 32-bit generation
+// word (a futex) and holds no lock while parked. park() announces itself in
+// a waiter count, fences, reads the generation and re-probes the rings and
+// the closed flag under the shard mutexes; only if there is still nothing
+// to do does it wait for the generation to move. A successful try_push
+// fences and loads the waiter count, and only when someone is announced
+// bumps the generation and wakes one waiter — with nobody parked a push
+// pays one fence and one load. The two fences form a Dekker pair: either
+// the push sees the announced waiter, or the re-probe sees the push, so no
+// wakeup is lost; a bump between the parker's read and its wait makes the
+// wait return at once. close() bumps the generation and wakes every
 // waiter. The park timeout therefore only bounds a lost wakeup. TSan does
 // not model standalone fences (GCC warns under -fsanitize=thread), but it
 // still sees the pair ordered: the push and the re-probe take the same
-// shard mutex.
+// shard mutex, which is why the re-probe does not use the hint.
 #pragma once
 
 #include <atomic>
@@ -52,6 +65,14 @@ struct Request {
     std::uint64_t deadline_at = 0;  ///< absolute deadline; 0 = none
 };
 
+/// Why SubmitQueues::park returned.
+enum class ParkResult : std::uint8_t {
+    kWorkSeen,  ///< work or close() seen before sleeping (spin or re-probe)
+    kWoken,     ///< reached FUTEX_WAIT; a wake, EINTR or an earlier bump
+                ///< of the generation ended it
+    kTimedOut,  ///< reached FUTEX_WAIT and slept for the whole timeout
+};
+
 class SubmitQueues {
 public:
     SubmitQueues(std::uint32_t shards, std::uint32_t depth)
@@ -71,9 +92,12 @@ public:
             Shard& sh = *shards_[shard % shards_.size()];
             const std::lock_guard<std::mutex> lock(sh.mu);
             if (closed_.load(std::memory_order_relaxed)) return false;
-            if (sh.tail - sh.head == depth_) return false;
-            sh.ring[sh.tail % depth_] = r;
-            ++sh.tail;
+            const std::uint64_t tail = sh.tail.load(std::memory_order_relaxed);
+            if (tail - sh.head.load(std::memory_order_relaxed) == depth_) {
+                return false;
+            }
+            sh.ring[tail % depth_] = r;
+            sh.tail.store(tail + 1, std::memory_order_relaxed);
         }
         // Pairs with the fence in park(): see the header comment.
         std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -85,9 +109,10 @@ public:
     bool try_pop(std::uint32_t shard, Request& out) {
         Shard& sh = *shards_[shard % shards_.size()];
         const std::lock_guard<std::mutex> lock(sh.mu);
-        if (sh.tail == sh.head) return false;
-        out = sh.ring[sh.head % depth_];
-        ++sh.head;
+        const std::uint64_t head = sh.head.load(std::memory_order_relaxed);
+        if (sh.tail.load(std::memory_order_relaxed) == head) return false;
+        out = sh.ring[head % depth_];
+        sh.head.store(head + 1, std::memory_order_relaxed);
         return true;
     }
 
@@ -105,16 +130,16 @@ public:
     [[nodiscard]] bool all_empty() const {
         for (const auto& sh : shards_) {
             const std::lock_guard<std::mutex> lock(sh->mu);
-            if (sh->tail != sh->head) return false;
+            if (!sh->empty()) return false;
         }
         return true;
     }
 
-    /// Blocks while every ring is empty and intake is open, until a push or
-    /// close() wakes the caller or `timeout` passes. True only when the
-    /// wait ended by timeout; returns false at once when there is work or
-    /// intake is closed.
-    bool park(std::chrono::nanoseconds timeout);
+    /// Waits while every ring is empty and intake is open: spins on the
+    /// work hint for up to kSpin, then sleeps until a push or close() wakes
+    /// the caller or `timeout` passes. Returns kWorkSeen without sleeping
+    /// when the spin or the re-probe finds work or intake closed.
+    ParkResult park(std::chrono::nanoseconds timeout);
 
     [[nodiscard]] std::uint32_t shards() const {
         return static_cast<std::uint32_t>(shards_.size());
@@ -125,8 +150,8 @@ public:
     [[nodiscard]] std::uint64_t capacity() const {
         return std::uint64_t{depth_} * shards_.size();
     }
-    /// Dispatchers inside park() right now (announced, possibly not yet
-    /// asleep).
+    /// Dispatchers announced in park() right now (past the spin, possibly
+    /// not yet asleep).
     [[nodiscard]] std::uint32_t parked() const {
         return waiters_.load(std::memory_order_seq_cst);
     }
@@ -135,13 +160,25 @@ private:
     struct Shard {
         mutable std::mutex mu;
         std::vector<Request> ring;
-        std::uint64_t head = 0;  ///< pop position (monotonic)
-        std::uint64_t tail = 0;  ///< push position (monotonic)
+        // Written only under `mu`; atomic so the work hint may read them
+        // without it (see the header comment).
+        std::atomic<std::uint64_t> head{0};  ///< pop position (monotonic)
+        std::atomic<std::uint64_t> tail{0};  ///< push position (monotonic)
+
+        [[nodiscard]] bool empty() const {
+            return tail.load(std::memory_order_relaxed) ==
+                   head.load(std::memory_order_relaxed);
+        }
     };
 
     static constexpr int kWakeAll = std::numeric_limits<int>::max();
     /// Bumps the generation and wakes up to `n` parked dispatchers.
     void wake(int n);
+    /// Lock-free and possibly stale: some ring looked non-empty or intake
+    /// looked closed.
+    [[nodiscard]] bool work_hint() const;
+    /// Polls work_hint() for up to kSpin; true as soon as it is set.
+    [[nodiscard]] bool spin_for_work() const;
 
     std::vector<std::unique_ptr<Shard>> shards_;
     std::uint32_t depth_;

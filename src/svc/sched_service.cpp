@@ -39,7 +39,9 @@ public:
     }
     // The loops' own yields pace everything: waiting is a no-op.
     void idle() override {}
-    bool park(SubmitQueues& /*q*/) override { return false; }
+    ParkResult park(SubmitQueues& /*q*/) override {
+        return ParkResult::kWorkSeen;
+    }
     void pace_until(std::uint64_t /*t*/) override {
         throw std::logic_error(
             "svc sched: open arrival is not supported under virtual time");

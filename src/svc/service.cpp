@@ -325,7 +325,9 @@ void Service::dispatcher_loop(std::uint32_t dispatcher) {
             // other dispatchers already popped are theirs to resolve.
             if (queues_.closed() && queues_.all_empty()) return;
             ++st.counters.parks;
-            if (env_.park(queues_)) ++st.counters.park_timeouts;
+            const ParkResult parked = env_.park(queues_);
+            if (parked != ParkResult::kWorkSeen) ++st.counters.sleeps;
+            if (parked == ParkResult::kTimedOut) ++st.counters.park_timeouts;
             continue;
         }
         run_batch(dispatcher, batch);
@@ -446,7 +448,7 @@ ServiceReport Service::finish(bool complete) {
         rep.counters.merge(d->counters);
         rep.latency.merge(d->latency);
         // Quiesce the backend: retire the dispatcher's context so buffered
-        // retired blocks reach the reclamation shards before the drain.
+        // retired blocks reach the retired list before the drain.
         d->exec.reset();
     }
     for (auto& c : clients_) rep.counters.merge(c->counters);

@@ -119,10 +119,12 @@ struct SvcCounters {
     std::uint64_t batches = 0;         ///< committed batches
     std::uint64_t first_try_conflicts = 0;  ///< batches whose 1st try aborted
     std::uint64_t stalls = 0;          ///< stall_dispatcher firings
-    // Idle dispatchers; outside the ledger. Under steady load a lost wakeup
-    // shows up as park timeouts.
+    // Idle dispatchers; outside the ledger. park_timeouts <= sleeps <=
+    // parks. sleeps per request shows what the spin before a park saves;
+    // under steady load a lost wakeup shows up as park timeouts.
     std::uint64_t parks = 0;           ///< SvcEnv::park calls
-    std::uint64_t park_timeouts = 0;   ///< parks that ended by timeout
+    std::uint64_t sleeps = 0;          ///< parks that reached FUTEX_WAIT
+    std::uint64_t park_timeouts = 0;   ///< sleeps that ended by timeout
 
     void merge(const SvcCounters& o) {
         submitted += o.submitted;
@@ -138,6 +140,7 @@ struct SvcCounters {
         first_try_conflicts += o.first_try_conflicts;
         stalls += o.stalls;
         parks += o.parks;
+        sleeps += o.sleeps;
         park_timeouts += o.park_timeouts;
     }
     /// Requests that reached a terminal bucket.
@@ -173,11 +176,13 @@ public:
     /// A short wait with nothing to do: the closed-loop client's window
     /// wait and the slow_shard fault.
     virtual void idle() = 0;
-    /// Every ring is empty: park the dispatcher on the queues' eventcount
-    /// until a push or close() wakes it. Returns true when the park ended
-    /// by timeout instead. Since close() wakes every parked dispatcher, the
-    /// 1 ms timeout only bounds a lost wakeup, so it is not a config key.
-    virtual bool park(SubmitQueues& q) {
+    /// Every ring is empty: SubmitQueues::park spins for work for a few
+    /// microseconds, then sleeps on the queues' eventcount until a push or
+    /// close() wakes it. Returns why it returned: work seen without
+    /// sleeping, woken, or timed out. Since close() wakes every parked
+    /// dispatcher, the 1 ms timeout only bounds a lost wakeup, so it is not
+    /// a config key.
+    virtual ParkResult park(SubmitQueues& q) {
         return q.park(std::chrono::milliseconds(1));
     }
     /// Open-arrival pacing: block until now() >= t.

@@ -1,9 +1,10 @@
 // Tests for the live service front-end (src/svc/): admission-control
-// queues and their park/wake eventcount, config and fault-spec parsing and
-// the repro-flag round trip, deterministic deadline and retry-budget
-// behavior under the scheduled harness, kill-point request conservation,
-// replay determinism across backends, decision-site reachability of the
-// service yield sites, and the real-thread production driver.
+// queues and their spin-then-park eventcount, config and fault-spec
+// parsing and the repro-flag round trip, deterministic deadline and
+// retry-budget behavior under the scheduled harness, kill-point request
+// conservation, replay determinism across backends, decision-site
+// reachability of the service yield sites, and the real-thread production
+// driver.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -101,29 +102,52 @@ TEST(SvcQueue, BoundedFifoWithExplicitRejection) {
     EXPECT_TRUE(q.all_empty());
 }
 
-// Parks that nothing wakes last their full timeout, far past kHangBound, so
-// a broken park fails these tests instead of hanging them.
+// Parks that nothing wakes last their full timeout, far past kHangBound.
+// A body still running at kHangBound gets a close(), which sets the work
+// hint (ending any spin) and wakes every sleeper, so a broken park fails
+// these tests instead of hanging them in the future's destructor.
 constexpr auto kLongPark = std::chrono::seconds(30);
 constexpr auto kHangBound = std::chrono::seconds(10);
 
+template <class T>
+bool done_within_bound(std::future<T>& body, SubmitQueues& q) {
+    if (body.wait_for(kHangBound) == std::future_status::ready) return true;
+    q.close();
+    return false;
+}
+
 TEST(SvcQueue, ParkReturnsAtOnceWhenWorkIsQueuedOrIntakeClosed) {
-    // One thread, nobody to wake it: park() must re-probe after announcing
-    // itself and return at once, not by timeout, when a request is queued
-    // and again when intake is closed.
+    // One thread, nobody to wake it: park() must see the queued request and
+    // then the closed intake without sleeping, and return at once.
     SubmitQueues q(2, 4);
     auto body = std::async(std::launch::async, [&q] {
-        std::vector<bool> timed_out;
+        std::vector<ParkResult> results;
         Request r;
-        if (!q.try_push(1, r)) return timed_out;
-        timed_out.push_back(q.park(kLongPark));
-        if (!q.try_pop(1, r)) return timed_out;
+        if (!q.try_push(1, r)) return results;
+        results.push_back(q.park(kLongPark));
+        if (!q.try_pop(1, r)) return results;
         q.close();
-        timed_out.push_back(q.park(kLongPark));
-        return timed_out;
+        results.push_back(q.park(kLongPark));
+        return results;
     });
-    ASSERT_EQ(body.wait_for(kHangBound), std::future_status::ready)
+    ASSERT_TRUE(done_within_bound(body, q))
         << "park() slept with a request queued or intake closed";
-    EXPECT_EQ(body.get(), (std::vector<bool>{false, false}));
+    EXPECT_EQ(body.get(), (std::vector<ParkResult>{ParkResult::kWorkSeen,
+                                                   ParkResult::kWorkSeen}));
+    EXPECT_EQ(q.parked(), 0u);
+}
+
+TEST(SvcQueue, ParkSleepsAfterItsSpinWhenNothingArrives) {
+    // One thread, open and empty queues: the spin must end on its own and
+    // the park go to sleep. A wake here can only be EINTR, so either
+    // sleeping result passes.
+    SubmitQueues q(2, 4);
+    auto body = std::async(std::launch::async, [&q] {
+        return q.park(std::chrono::milliseconds(2));
+    });
+    ASSERT_TRUE(done_within_bound(body, q)) << "park() never left its spin";
+    EXPECT_NE(body.get(), ParkResult::kWorkSeen)
+        << "park() reported work on empty, open queues";
     EXPECT_EQ(q.parked(), 0u);
 }
 
@@ -138,17 +162,24 @@ TEST(SvcQueue, PushWakesOneParkerAndCloseWakesAll) {
         std::vector<std::thread> parkers;
         for (std::uint32_t i = 0; i < kParkers; ++i) {
             parkers.emplace_back([&q, &timeouts] {
-                if (q.park(kLongPark)) timeouts.fetch_add(1);
+                if (q.park(kLongPark) == ParkResult::kTimedOut) {
+                    timeouts.fetch_add(1);
+                }
             });
         }
-        while (q.parked() < kParkers) std::this_thread::yield();
+        // closed() ends these waits once done_within_bound gives up.
+        while (q.parked() < kParkers && !q.closed()) {
+            std::this_thread::yield();
+        }
         EXPECT_TRUE(q.try_push(0, Request{}));
-        while (q.parked() == kParkers) std::this_thread::yield();
+        while (q.parked() == kParkers && !q.closed()) {
+            std::this_thread::yield();
+        }
         q.close();
         for (auto& t : parkers) t.join();
         return timeouts.load();
     });
-    ASSERT_EQ(body.wait_for(kHangBound), std::future_status::ready)
+    ASSERT_TRUE(done_within_bound(body, q))
         << "a parker missed the push's or close()'s wakeup";
     EXPECT_EQ(body.get(), 0u) << "parks ended by timeout, not by a wake";
     EXPECT_EQ(q.parked(), 0u);
@@ -516,6 +547,8 @@ TEST(SvcProduction, ClosedLoopDrainsEveryRequest) {
     EXPECT_EQ(rep.counters.completed, 400u);
     EXPECT_EQ(rep.counters.responded, 400u);
     EXPECT_EQ(rep.latency.count(), 400u);
+    EXPECT_LE(rep.counters.park_timeouts, rep.counters.sleeps);
+    EXPECT_LE(rep.counters.sleeps, rep.counters.parks);
 }
 
 TEST(SvcProduction, OpenArrivalWithFaultsStillBalances) {
@@ -532,6 +565,8 @@ TEST(SvcProduction, OpenArrivalWithFaultsStillBalances) {
     EXPECT_EQ(rep.counters.resolved(), rep.counters.submitted)
         << "every submitted request must resolve by drain";
     EXPECT_EQ(rep.counters.stalls, 2u) << "one stall per dispatcher";
+    EXPECT_LE(rep.counters.park_timeouts, rep.counters.sleeps);
+    EXPECT_LE(rep.counters.sleeps, rep.counters.parks);
 }
 
 TEST(SvcProduction, Tl2ReportCountsTheDispatchersReadSets) {

@@ -47,8 +47,8 @@ int svc_load_main(int argc, char** argv) {
               << c.dropped_responses << " dropped; retries " << c.retries
               << ", batches " << c.batches << ", first-try conflicts "
               << c.first_try_conflicts << ", stalls " << c.stalls
-              << ", parks " << c.parks << " (" << c.park_timeouts
-              << " timed out)\n"
+              << ", parks " << c.parks << " (" << c.sleeps << " slept, "
+              << c.park_timeouts << " timed out)\n"
               << "stm: " << rep.stm.commits << " commits, " << rep.stm.aborts
               << " aborts, " << rep.stm.false_conflicts
               << " false conflicts\n"
