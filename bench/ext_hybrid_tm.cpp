@@ -18,7 +18,7 @@
 namespace {
 using tmb::hybrid::HybridConfig;
 using tmb::hybrid::HybridResult;
-using tmb::hybrid::HybridTm;
+using tmb::hybrid::run_hybrid_tm;
 using tmb::util::TablePrinter;
 }  // namespace
 
@@ -53,7 +53,7 @@ int bench_main(int argc, char** argv) {
             c.stm_table_entries = 1u << 16;
             c.ticks = 50'000;
             c.seed = 77;
-            const HybridResult r = HybridTm(c).run();
+            const HybridResult r = run_hybrid_tm(c);
             t.add_row({std::to_string(threads), org,
                        TablePrinter::fmt(r.stm_throughput(c), 2),
                        TablePrinter::fmt(r.stm_abort_ratio(), 3),
@@ -79,7 +79,7 @@ int bench_main(int argc, char** argv) {
         c.stm_table_entries = 1u << 16;
         c.ticks = 50'000;
         c.seed = 78;
-        const HybridResult r = HybridTm(c).run();
+        const HybridResult r = run_hybrid_tm(c);
         m.add_row({org,
                    TablePrinter::fmt(r.htm_throughput(c), 2),
                    TablePrinter::fmt(r.stm_throughput(c), 2),

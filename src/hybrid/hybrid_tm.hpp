@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -98,24 +97,6 @@ struct HybridResult {
 
 /// Config-driven overload (fallback organization selected by `table=`).
 [[nodiscard]] HybridResult run_hybrid_tm(const config::Config& cfg);
-
-/// The hybrid TM as a component: parses its configuration once (from a
-/// Config or a ready HybridConfig) and runs the simulation on demand, so
-/// drivers hold one object instead of a (config, function) pair.
-class HybridTm {
-public:
-    explicit HybridTm(HybridConfig config) : config_(std::move(config)) {}
-    explicit HybridTm(const config::Config& cfg)
-        : HybridTm(hybrid_config_from(cfg)) {}
-
-    [[nodiscard]] const HybridConfig& config() const noexcept { return config_; }
-
-    /// One full simulation with this configuration (stateless across runs).
-    [[nodiscard]] HybridResult run() const { return run_hybrid_tm(config_); }
-
-private:
-    HybridConfig config_;
-};
 
 /// Decides whether a transaction of `footprint_blocks` blocks (with the
 /// given read/write mix) overflows the HTM cache, by replaying a synthetic

@@ -25,16 +25,8 @@ public:
     [[nodiscard]] std::uint64_t entry_count() const noexcept override {
         return table_.entry_count();
     }
-    [[nodiscard]] std::uint64_t index_of(
-        std::uint64_t block) const noexcept override {
-        return table_.index_of(block);
-    }
     [[nodiscard]] std::uint64_t occupied_entries() const noexcept override {
         return table_.occupied_entries();
-    }
-    [[nodiscard]] Mode mode_of_block(
-        std::uint64_t block) const noexcept override {
-        return table_.mode_of_block(block);
     }
     void clear() override { table_.clear(); }
     [[nodiscard]] std::string_view name() const noexcept override {

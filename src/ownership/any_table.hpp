@@ -32,19 +32,9 @@ public:
     virtual AcquireResult acquire_write(TxId tx, std::uint64_t block) = 0;
     virtual void release(TxId tx, std::uint64_t block, Mode mode) = 0;
     [[nodiscard]] virtual std::uint64_t entry_count() const noexcept = 0;
-    /// First-level slot `block` hashes to (experiments reason about aliasing
-    /// without duplicating the hash).
-    [[nodiscard]] virtual std::uint64_t index_of(
-        std::uint64_t block) const noexcept = 0;
     /// Currently held entries/records; lets simulators sample occupancy
     /// through the erased interface (paper §4's occupancy measurements).
     [[nodiscard]] virtual std::uint64_t occupied_entries() const noexcept = 0;
-    /// Permission state a non-transactional access to `block` would observe
-    /// (strong-isolation probes, paper §6). For tagless organizations this
-    /// is the shared entry's mode — aliases make innocent accesses look
-    /// conflicting; for tagged it is the block's own record.
-    [[nodiscard]] virtual Mode mode_of_block(
-        std::uint64_t block) const noexcept = 0;
     virtual void clear() = 0;
     [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };

@@ -10,8 +10,9 @@ AtomicTaglessTable::AtomicTaglessTable(TableConfig config)
     : config_(config),
       hasher_(config.hash, config.entries),
       entries_(config.entries) {
+    // std::atomic value-initializes (C++20), so the vector is already free.
+    static_assert(kFreeWord == 0);
     if (config_.entries == 0) throw std::invalid_argument("table must have entries");
-    for (auto& e : entries_) e.store(kFreeWord, std::memory_order_relaxed);
 }
 
 std::uint64_t AtomicTaglessTable::index_of(std::uint64_t block) const noexcept {

@@ -51,8 +51,6 @@ public:
     /// already released, or another TxId's) is a no-op.
     void release(TxId tx, std::uint64_t block, Mode mode);
 
-    [[nodiscard]] std::uint64_t index_of(std::uint64_t block) const noexcept;
-
     [[nodiscard]] std::uint64_t entry_count() const noexcept { return config_.entries; }
     [[nodiscard]] const TableConfig& config() const noexcept { return config_; }
     [[nodiscard]] std::uint64_t occupied_entries() const noexcept;
@@ -62,10 +60,6 @@ public:
 
     // Inspection for tests (racy by nature; exact only when quiescent).
     [[nodiscard]] Mode mode_at(std::uint64_t index) const noexcept;
-    /// Permission state a non-transactional access to `block` would observe.
-    [[nodiscard]] Mode mode_of_block(std::uint64_t block) const noexcept {
-        return mode_at(index_of(block));
-    }
     [[nodiscard]] std::uint64_t sharers_at(std::uint64_t index) const noexcept;
     [[nodiscard]] TxId writer_at(std::uint64_t index) const noexcept;
 
@@ -73,6 +67,8 @@ private:
     static constexpr std::uint64_t kModeShift = 62;
     static constexpr std::uint64_t kPayloadMask = (std::uint64_t{1} << 62) - 1;
     static constexpr std::uint64_t kFreeWord = 0;
+
+    [[nodiscard]] std::uint64_t index_of(std::uint64_t block) const noexcept;
 
     [[nodiscard]] static constexpr std::uint64_t pack(Mode mode,
                                                       std::uint64_t payload) {

@@ -65,9 +65,7 @@ concept OwnershipTable = requires(T t, const T ct, TxId tx, std::uint64_t block)
     { t.acquire_write(tx, block) } -> std::same_as<AcquireResult>;
     { t.release(tx, block, Mode::kRead) } -> std::same_as<void>;
     { ct.entry_count() } -> std::convertible_to<std::uint64_t>;
-    { ct.index_of(block) } -> std::convertible_to<std::uint64_t>;
     { ct.occupied_entries() } -> std::convertible_to<std::uint64_t>;
-    { ct.mode_of_block(block) } -> std::same_as<Mode>;
     { t.clear() } -> std::same_as<void>;
 };
 

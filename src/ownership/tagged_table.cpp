@@ -14,19 +14,6 @@ std::uint64_t TaggedTable::index_of(std::uint64_t block) const noexcept {
     return hasher_(block);
 }
 
-Mode TaggedTable::mode_of_block(std::uint64_t block) const noexcept {
-    const Slot& slot = slots_[index_of(block)];
-    if (slot.first.mode != Mode::kFree && slot.first.block == block) {
-        return slot.first.mode;
-    }
-    if (slot.overflow) {
-        for (const Record& r : *slot.overflow) {
-            if (r.block == block) return r.mode;
-        }
-    }
-    return Mode::kFree;
-}
-
 TaggedTable::Record* TaggedTable::find(Slot& slot, std::uint64_t block) {
     if (slot.first.mode == Mode::kFree) return nullptr;  // empty slot
     ++probe_steps_;

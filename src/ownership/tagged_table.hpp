@@ -44,22 +44,12 @@ public:
     /// Releases `tx`'s hold on `block`'s record; empty records are unlinked.
     void release(TxId tx, std::uint64_t block, Mode mode);
 
-    [[nodiscard]] std::uint64_t index_of(std::uint64_t block) const noexcept;
-
-    /// Permission state a non-transactional access to `block` would observe:
-    /// the mode of `block`'s own record, kFree when none exists. Aliasing
-    /// blocks have separate records, so (unlike a tagless table) an alias
-    /// never makes a non-transactional access appear conflicting.
-    [[nodiscard]] Mode mode_of_block(std::uint64_t block) const noexcept;
-
     // --- inspection ---
     [[nodiscard]] std::uint64_t entry_count() const noexcept { return config_.entries; }
     [[nodiscard]] const TableConfig& config() const noexcept { return config_; }
-    [[nodiscard]] std::uint64_t record_count() const noexcept { return live_records_; }
     /// Live ownership records — the tagged analog of a tagless table's
     /// occupied entries (each held block has its own record, chained records
-    /// counted individually). O(1); lets occupancy-sampling simulators run
-    /// any organization through one interface.
+    /// counted individually). O(1).
     [[nodiscard]] std::uint64_t occupied_entries() const noexcept {
         return live_records_;
     }
@@ -98,6 +88,7 @@ private:
         }
     };
 
+    [[nodiscard]] std::uint64_t index_of(std::uint64_t block) const noexcept;
     Record* find(Slot& slot, std::uint64_t block);
     Record& find_or_create(Slot& slot, std::uint64_t block);
     void remove(Slot& slot, Record& record);

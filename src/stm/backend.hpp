@@ -116,9 +116,7 @@ public:
     /// make_context() blocking — 62 (ownership::kMaxAtomicTx) for the table
     /// engine, whichever organization; unbounded for tl2. The execution
     /// engine validates its thread count against this.
-    [[nodiscard]] virtual std::uint32_t max_live_contexts() const noexcept {
-        return ownership::kMaxTx;
-    }
+    [[nodiscard]] virtual std::uint32_t max_live_contexts() const noexcept = 0;
 
     /// Currently held conflict-metadata entries (ownership-table occupancy;
     /// 0 for backends without a table). Exact only at quiescent points; the

@@ -239,19 +239,18 @@ void Service::resolve(const Request& r) {
 
 void Service::client_loop(std::uint32_t client) {
     ClientState& st = *clients_[client];
-    // Open arrival: the total offered rate splits evenly across clients,
-    // phase-shifted so submissions interleave instead of thundering.
-    const std::uint64_t interval =
-        cfg_.open_arrival
-            ? static_cast<std::uint64_t>(1e6 * cfg_.clients /
-                                         cfg_.arrival_per_sec)
-            : 0;
     for (std::uint64_t k = 0; k < cfg_.requests_per_client; ++k) {
         if (cfg_.open_arrival) {
-            if (interval != 0) {
-                env_.pace_until(started_at_ + k * interval +
-                                (interval * client) / cfg_.clients);
-            }
+            // The total offered rate splits evenly across clients, phase-
+            // shifted so submissions interleave: arrival k·clients + client
+            // of the merged stream is due at that many 1/rate steps, so the
+            // offered rate stays exact when a client's interval is not a
+            // whole number of env units.
+            const double arrival =
+                static_cast<double>(k * cfg_.clients + client);
+            env_.pace_until(started_at_ +
+                            static_cast<std::uint64_t>(
+                                arrival * 1e6 / cfg_.arrival_per_sec));
         } else {
             // Closed loop, window of 1: wait for the previous request to
             // resolve before offering the next.

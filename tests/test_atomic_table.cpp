@@ -21,6 +21,7 @@ TableConfig direct(std::uint64_t entries) {
 
 TEST(AtomicTable, BasicAcquireRelease) {
     AtomicTaglessTable t(direct(16));
+    EXPECT_EQ(t.occupied_entries(), 0u);  // a fresh table holds no entry
     EXPECT_TRUE(t.acquire_read(0, 5).ok);
     EXPECT_TRUE(t.acquire_read(1, 5).ok);
     EXPECT_EQ(t.sharers_at(5), 2u);

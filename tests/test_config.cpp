@@ -272,10 +272,10 @@ TEST(HybridConfig, ParsesAndRuns) {
     const auto cfg = config::Config::from_string(
         "threads=2 table=tagged entries=4096 large_fraction=1.0 "
         "large_blocks=256 ticks=2000 seed=5");
-    const hybrid::HybridTm tm(cfg);
-    EXPECT_EQ(tm.config().threads, 2u);
-    EXPECT_EQ(tm.config().stm_table, "tagged");
-    const auto r = tm.run();
+    const hybrid::HybridConfig c = hybrid::hybrid_config_from(cfg);
+    EXPECT_EQ(c.threads, 2u);
+    EXPECT_EQ(c.stm_table, "tagged");
+    const auto r = hybrid::run_hybrid_tm(c);
     EXPECT_GT(r.stm_commits + r.htm_commits, 0u);
     EXPECT_EQ(r.stm_aborts, 0u);  // tagged fallback, disjoint footprints
 }

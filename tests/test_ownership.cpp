@@ -170,7 +170,7 @@ TEST(Tagged, NoFalseConflictOnAlias) {
     TaggedTable t(direct(16));
     EXPECT_TRUE(t.acquire_write(0, 3).ok);
     EXPECT_TRUE(t.acquire_write(1, 3 + 16).ok) << "aliases get separate records";
-    EXPECT_EQ(t.record_count(), 2u);
+    EXPECT_EQ(t.occupied_entries(), 2u);
     EXPECT_EQ(t.chained_slots(), 1u);
 }
 
@@ -205,11 +205,11 @@ TEST(Tagged, ChainGrowsAndShrinks) {
     for (TxId tx = 0; tx < 4; ++tx) {
         EXPECT_TRUE(t.acquire_write(tx, 1 + 8 * tx).ok);
     }
-    EXPECT_EQ(t.record_count(), 4u);
+    EXPECT_EQ(t.occupied_entries(), 4u);
     const auto h = t.chain_length_histogram();
     EXPECT_EQ(h.count_at(4), 1u);  // one slot with 4 records
     for (TxId tx = 0; tx < 4; ++tx) t.release(tx, 1 + 8 * tx, Mode::kWrite);
-    EXPECT_EQ(t.record_count(), 0u);
+    EXPECT_EQ(t.occupied_entries(), 0u);
     EXPECT_EQ(t.chained_slots(), 0u);
 }
 
@@ -218,7 +218,7 @@ TEST(Tagged, ReleaseReadKeepsOtherSharers) {
     t.acquire_read(0, 3);
     t.acquire_read(1, 3);
     t.release(0, 3, Mode::kRead);
-    EXPECT_EQ(t.record_count(), 1u);
+    EXPECT_EQ(t.occupied_entries(), 1u);
     const auto r = t.acquire_write(2, 3);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.conflicting, tx_bit(1));
@@ -227,7 +227,7 @@ TEST(Tagged, ReleaseReadKeepsOtherSharers) {
 TEST(Tagged, ReleaseUnknownBlockIsNoOp) {
     TaggedTable t(direct(16));
     EXPECT_NO_THROW(t.release(0, 99, Mode::kWrite));
-    EXPECT_EQ(t.record_count(), 0u);
+    EXPECT_EQ(t.occupied_entries(), 0u);
 }
 
 TEST(Tagged, AliasTraversalCounting) {
@@ -247,7 +247,7 @@ TEST(Tagged, ClearRemovesRecords) {
     t.acquire_write(0, 1);
     t.acquire_write(1, 9);
     t.clear();
-    EXPECT_EQ(t.record_count(), 0u);
+    EXPECT_EQ(t.occupied_entries(), 0u);
     EXPECT_TRUE(t.acquire_write(2, 1).ok);
 }
 

@@ -87,7 +87,7 @@ TEST_P(TableLifecycle, ReleaseRestoresEmptyTagged) {
     for (auto& [tx, blocks] : held) {
         for (const auto b : blocks) table.release(tx, b, ownership::Mode::kWrite);
     }
-    EXPECT_EQ(table.record_count(), 0u);
+    EXPECT_EQ(table.occupied_entries(), 0u);
     EXPECT_EQ(table.chained_slots(), 0u);
 }
 

@@ -613,5 +613,49 @@ TEST(SvcProduction, Tl2ReportCountsTheDispatchersReadSets) {
     EXPECT_EQ(rep.stm.commits, after.commits);
 }
 
+TEST(SvcProduction, OpenArrivalDueTimesAreExact) {
+    // 3 clients at 400k/s: arrivals are 2.5 µs apart, so a client's own
+    // requests are 7.5 µs apart. Arrival j of the merged stream (client
+    // j % 3, request j / 3) is due at floor(2.5·j) µs. A per-client interval
+    // rounded down to 7 µs would offer 428.6k/s instead.
+    class RecordingEnv final : public SvcEnv {
+    public:
+        std::uint64_t now() override { return 0; }
+        void backoff(std::uint32_t) override {}
+        void idle() override {}
+        ParkResult park(SubmitQueues&) override {
+            return ParkResult::kWorkSeen;
+        }
+        void pace_until(std::uint64_t t) override { due.push_back(t); }
+        void stall(std::uint32_t) override {}
+        std::vector<std::uint64_t> due;
+    } env;
+    const SvcConfig sc = svc_config_from(config::Config::from_string(
+        "clients=3 dispatchers=1 requests=8 slots=64 queue_depth=64 "
+        "arrival=open:400000 seed=7"));
+    const auto tm =
+        stm::Stm::create(config::Config::from_string("backend=tl2"));
+    std::vector<std::uint64_t> storage(std::size_t{sc.slots} * 8 + 8, 0);
+    const auto base =
+        (reinterpret_cast<std::uintptr_t>(storage.data()) + 63) &
+        ~std::uintptr_t{63};
+    Service svc(sc, *tm, env, reinterpret_cast<std::uint64_t*>(base));
+    // One thread, clients in turn: the last one closes intake, and the
+    // dispatcher then drains every ring.
+    for (std::uint32_t c = 0; c < sc.clients; ++c) svc.client_loop(c);
+    svc.dispatcher_loop(0);
+    const ServiceReport rep = svc.finish(/*complete=*/true);
+    EXPECT_TRUE(rep.ledger_ok) << rep.ledger_note;
+
+    ASSERT_EQ(env.due.size(), 24u);
+    for (std::uint64_t c = 0; c < 3; ++c) {
+        for (std::uint64_t k = 0; k < 8; ++k) {
+            const std::uint64_t j = 3 * k + c;
+            EXPECT_EQ(env.due[c * 8 + k], 5 * j / 2)
+                << "client " << c << ", request " << k;
+        }
+    }
+}
+
 }  // namespace
 }  // namespace tmb::svc
