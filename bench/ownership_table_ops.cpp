@@ -10,27 +10,23 @@
 #include <vector>
 
 #include "ownership/any_table.hpp"
-#include "ownership/atomic_tagless_table.hpp"
 #include "ownership/tagged_table.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-using tmb::ownership::AtomicTaglessTable;
 using tmb::ownership::Mode;
 using tmb::ownership::TableConfig;
 using tmb::ownership::TaggedTable;
 using tmb::ownership::TxId;
 
 /// Acquire a footprint of `footprint` random blocks then release it,
-/// repeatedly — the STM-commit lifecycle at a given table-size ratio. The
-/// tagless and tagged rows run an AnyTable resolved by name, so the
-/// virtual-dispatch cost is part of what they measure (it is the production
-/// configuration: the simulators and tools run tables through the same
-/// interface). The atomic_tagless row calls the STM's lock-free tagless
-/// table directly.
-template <typename Table>
-void acquire_release_cycle(benchmark::State& state, Table& table) {
+/// repeatedly — the STM-commit lifecycle at a given table-size ratio. Both
+/// rows run an AnyTable resolved by name, so the virtual-dispatch cost is
+/// part of what they measure (it is the production configuration: the
+/// trace-alias and hybrid simulators run tables through the same interface).
+void acquire_release_cycle(benchmark::State& state,
+                           tmb::ownership::AnyTable& table) {
     const auto entries = static_cast<std::uint64_t>(state.range(0));
     const auto footprint = static_cast<std::uint64_t>(state.range(1));
     tmb::util::Xoshiro256 rng{42};
@@ -80,8 +76,6 @@ void BM_TaggedChainProfile(benchmark::State& state) {
         state.counters["pct_slots_single"] =
             100.0 * h.fraction_at(1);
         state.counters["max_chain"] = static_cast<double>(h.max_value());
-        state.counters["alias_traversals"] =
-            static_cast<double>(table.alias_traversals());
     }
 }
 
@@ -94,25 +88,20 @@ BENCHMARK(BM_TaggedChainProfile)
 }  // namespace
 
 int main(int argc, char** argv) {
-    const auto add = [](const std::string& org, auto body) {
-        benchmark::RegisterBenchmark(("BM_AcquireRelease/table=" + org).c_str(),
-                                     body)
+    for (const std::string& org : tmb::ownership::table_names()) {
+        benchmark::RegisterBenchmark(
+            ("BM_AcquireRelease/table=" + org).c_str(),
+            [org](benchmark::State& state) {
+                const auto table =
+                    tmb::ownership::make_table(org, shape_of(state));
+                acquire_release_cycle(state, *table);
+            })
             ->ArgNames({"entries", "footprint"})
             ->Args({4096, 64})
             ->Args({65536, 64})
             ->Args({65536, 256})
             ->Args({1u << 20, 256});
-    };
-    for (const std::string& org : tmb::ownership::table_names()) {
-        add(org, [org](benchmark::State& state) {
-            const auto table = tmb::ownership::make_table(org, shape_of(state));
-            acquire_release_cycle(state, *table);
-        });
     }
-    add("atomic_tagless", [](benchmark::State& state) {
-        AtomicTaglessTable table(shape_of(state));
-        acquire_release_cycle(state, table);
-    });
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     benchmark::RunSpecifiedBenchmarks();

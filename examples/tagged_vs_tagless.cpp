@@ -1,6 +1,7 @@
 // tagged_vs_tagless — the paper's false-conflict pathology in a live STM.
 //
 // Build & run:   ./build/examples/tagged_vs_tagless
+// (takes no flags; any flag exits 2)
 //
 // Two threads repeatedly update completely disjoint data structures. With a
 // small TAGLESS ownership table their blocks alias, so the STM reports
@@ -66,7 +67,8 @@ StmStats run(const std::string& org, std::uint64_t table_entries) {
 
 }  // namespace
 
-int main() {
+int example_main(int argc, char** argv) {
+    tmb::config::reject_unknown(tmb::config::Config::from_args(argc, argv));
     std::cout << "two threads, fully disjoint data, 3000 updates each —\n"
                  "every conflict below is the metadata's fault, not the "
                  "workload's:\n\n";
@@ -86,4 +88,8 @@ int main() {
                  "size; the tagless table's false\nconflicts grow as the table "
                  "shrinks — the birthday paradox at work (paper §3).\n";
     return 0;
+}
+
+int main(int argc, char** argv) {
+    return tmb::config::guarded_main(example_main, argc, argv);
 }

@@ -1,6 +1,7 @@
 #include "hybrid/hybrid_tm.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "util/hash.hpp"
@@ -81,7 +82,8 @@ HybridResult run_hybrid_tm(const config::Config& cfg) {
 
 HybridResult run_hybrid_tm(const HybridConfig& config) {
     if (config.threads == 0 || config.threads > ownership::kMaxTx) {
-        throw std::invalid_argument("threads must be in [1, 64]");
+        throw std::invalid_argument("threads must be in [1, " +
+                                    std::to_string(ownership::kMaxTx) + "]");
     }
     config.htm_cache.validate();
 

@@ -46,7 +46,7 @@ struct WorkloadMix {
 };
 
 struct HybridConfig {
-    std::uint32_t threads = 4;
+    std::uint32_t threads = 4;  ///< in [1, ownership::kMaxTx]
     cache::CacheGeometry htm_cache{};  ///< paper: 32KB 4-way 64B
     /// STM-fallback ownership-table organization, "tagless" or "tagged"
     /// (any_table.hpp) — the paper's ablation axis.

@@ -1,7 +1,7 @@
 #include "ownership/any_table.hpp"
 
+#include "ownership/atomic_tagless_table.hpp"
 #include "ownership/tagged_table.hpp"
-#include "ownership/tagless_table.hpp"
 
 namespace tmb::ownership {
 
@@ -10,8 +10,7 @@ namespace {
 template <OwnershipTable Table>
 class AnyTableImpl final : public AnyTable {
 public:
-    AnyTableImpl(std::string_view name, TableConfig config)
-        : name_(name), table_(config) {}
+    explicit AnyTableImpl(TableConfig config) : table_(config) {}
 
     AcquireResult acquire_read(TxId tx, std::uint64_t block) override {
         return table_.acquire_read(tx, block);
@@ -29,12 +28,8 @@ public:
         return table_.occupied_entries();
     }
     void clear() override { table_.clear(); }
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return name_;
-    }
 
 private:
-    std::string_view name_;  ///< a literal from make_table
     Table table_;
 };
 
@@ -58,10 +53,10 @@ std::unique_ptr<AnyTable> make_table(const config::Config& cfg) {
 std::unique_ptr<AnyTable> make_table(std::string_view name,
                                      TableConfig config) {
     if (name == "tagless") {
-        return std::make_unique<AnyTableImpl<TaglessTable>>("tagless", config);
+        return std::make_unique<AnyTableImpl<AtomicTaglessTable>>(config);
     }
     if (name == "tagged") {
-        return std::make_unique<AnyTableImpl<TaggedTable>>("tagged", config);
+        return std::make_unique<AnyTableImpl<TaggedTable>>(config);
     }
     throw config::unknown_name("table", name, table_names());
 }

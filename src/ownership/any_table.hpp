@@ -32,11 +32,9 @@ public:
     virtual AcquireResult acquire_write(TxId tx, std::uint64_t block) = 0;
     virtual void release(TxId tx, std::uint64_t block, Mode mode) = 0;
     [[nodiscard]] virtual std::uint64_t entry_count() const noexcept = 0;
-    /// Currently held entries/records; lets simulators sample occupancy
-    /// through the erased interface (paper §4's occupancy measurements).
+    /// Currently held entries/records; on the tagless table an O(N) scan.
     [[nodiscard]] virtual std::uint64_t occupied_entries() const noexcept = 0;
     virtual void clear() = 0;
-    [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
 
 /// The organization names make_table knows: {"tagless", "tagged"}. Benches

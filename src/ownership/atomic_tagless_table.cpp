@@ -25,7 +25,7 @@ namespace {
     throw std::out_of_range(
         "AtomicTaglessTable: TxId " + std::to_string(tx) +
         " exceeds the atomic table's capacity of " +
-        std::to_string(kMaxAtomicTx) +
+        std::to_string(kMaxTx) +
         " (two bits of the entry word encode the mode)");
 }
 
@@ -33,7 +33,7 @@ namespace {
 /// = 1<<62 lands in the mode field), silently corrupting the entry; fail
 /// fast instead. The test stays inline; building the message does not.
 inline void check_tx(TxId tx) {
-    if (tx >= kMaxAtomicTx) [[unlikely]] throw_tx_out_of_range(tx);
+    if (tx >= kMaxTx) [[unlikely]] throw_tx_out_of_range(tx);
 }
 
 }  // namespace

@@ -1,14 +1,21 @@
-// atomic_tagless_table.hpp — a lock-free concurrent tagless ownership table.
+// atomic_tagless_table.hpp — the tagless ownership table of paper Fig. 1.
 //
-// `TaglessTable` is the faithful single-threaded model of paper Fig. 1 used
-// by the simulators. This class is the concurrent variant the STM's tagless
-// engine runs on: each entry is a single atomic word manipulated with CAS,
-// so transactions on different threads acquire and release entries without
-// any shared lock.
+// Each entry is {mode, owner-or-sharers}; the accessed address is NOT
+// recorded, so all blocks hashing to an entry share its permission state.
+// Cross-transaction aliasing with at least one writer is conservatively a
+// conflict — the false conflicts whose rate the paper models.
+//
+// This is the one tagless class: the STM's tagless engine runs it on real
+// threads, and `make_table("tagless")`, the open- and closed-system
+// simulators, trace-alias and the hybrid-TM model run it single-threaded.
+// Each entry is a single atomic word manipulated with CAS, so transactions
+// on different threads acquire and release entries without any shared
+// lock.
 //
 // Entry word layout (64 bits):
 //   bits 63..62  mode: 0 = Free, 1 = Read, 2 = Write
-//   bits 61..0   Read:  sharer bitmap (one bit per TxId; ids 0..61)
+//   bits 61..0   Read:  sharer bitmap (one bit per TxId; ids 0..61, hence
+//                       ownership::kMaxTx = 62)
 //                Write: writer TxId
 //
 // The single-word layout is exactly why tagless tables appeal to STM
@@ -16,7 +23,9 @@
 // it changes nothing about their false-conflict pathology, which this class
 // inherits by construction. An acquire or a read release is one locked
 // instruction; a write release is a plain store. The table counts nothing
-// (ownership.hpp): an acquire touches its entry word and nothing else.
+// (ownership.hpp): an acquire touches its entry word and nothing else, and
+// `occupied_entries()` is an O(N) scan, so a caller that samples occupancy
+// often (the closed-system simulator) counts it itself.
 #pragma once
 
 #include <atomic>
@@ -27,10 +36,6 @@
 
 namespace tmb::ownership {
 
-/// Maximum concurrent transactions for the atomic table (sharer bitmap is
-/// 62 bits wide; two bits of the word encode the mode).
-inline constexpr TxId kMaxAtomicTx = 62;
-
 class AtomicTaglessTable {
 public:
     explicit AtomicTaglessTable(TableConfig config);
@@ -40,7 +45,7 @@ public:
 
     /// Lock-free; linearizes at a successful CAS (or at the load that
     /// observes a conflicting state). Throws std::out_of_range when
-    /// `tx >= kMaxAtomicTx`: a TxId of 62 or 63 would set a mode bit in the
+    /// `tx >= kMaxTx`: a TxId of 62 or 63 would set a mode bit in the
     /// entry word instead of a sharer bit, silently corrupting the entry.
     AcquireResult acquire_read(TxId tx, std::uint64_t block);
     AcquireResult acquire_write(TxId tx, std::uint64_t block);
@@ -53,12 +58,15 @@ public:
 
     [[nodiscard]] std::uint64_t entry_count() const noexcept { return config_.entries; }
     [[nodiscard]] const TableConfig& config() const noexcept { return config_; }
+    /// Non-free entries; an O(N) scan, exact only when quiescent.
     [[nodiscard]] std::uint64_t occupied_entries() const noexcept;
 
     /// Not thread-safe; call only at quiescent points.
     void clear();
 
-    // Inspection for tests (racy by nature; exact only when quiescent).
+    // Inspection (racy by nature; exact only when quiescent). The
+    // simulators read mode_at(block): they draw blocks below N under the
+    // shift-mask hash, so block b is entry b.
     [[nodiscard]] Mode mode_at(std::uint64_t index) const noexcept;
     [[nodiscard]] std::uint64_t sharers_at(std::uint64_t index) const noexcept;
     [[nodiscard]] TxId writer_at(std::uint64_t index) const noexcept;

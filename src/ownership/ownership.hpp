@@ -3,11 +3,12 @@
 // A word-based STM tracks per-block read/write permissions in a hashed
 // *ownership table* (paper §2.1, Fig. 1). Transactions acquire read or write
 // ownership of the entry their block hashes to; conflicting acquisitions
-// force an abort. Two organizations are implemented:
+// force an abort. Two organizations are implemented, one class each:
 //
-//   * `TaglessTable` (Fig. 1): no tags; all blocks hashing to an entry are
-//     indistinguishable → aliasing causes FALSE conflicts (the paper's
-//     subject).
+//   * `AtomicTaglessTable` (Fig. 1): no tags; all blocks hashing to an entry
+//     are indistinguishable → aliasing causes FALSE conflicts (the paper's
+//     subject). One atomic word per entry, so the STM runs it lock-free and
+//     the simulators run the same class single-threaded.
 //   * `TaggedTable` (Fig. 7): tags + chaining; aliases get separate records
 //     → no false conflicts, occasional chains.
 //
@@ -23,14 +24,13 @@
 
 namespace tmb::ownership {
 
-/// Transaction identifier. Tables track holders in a 64-bit bitmap, so at
-/// most 64 concurrently live transactions are supported — far beyond the
-/// paper's experiments (C <= 8) and plenty for a per-thread STM. Both
-/// organizations take TxIds [0, kMaxTx); the STM's lock-free tagless table
-/// spends two bitmap bits on the entry mode and takes [0, kMaxAtomicTx)
-/// (atomic_tagless_table.hpp).
+/// Transaction identifier. Both organizations take TxIds [0, kMaxTx): the
+/// tagless entry word spends two of its 64 bits on the mode and the other
+/// 62 on the sharer bitmap (atomic_tagless_table.hpp). That is far beyond
+/// the paper's experiments (C <= 8); the STM engine, its SlotPool and every
+/// simulator check against this one cap.
 using TxId = std::uint32_t;
-inline constexpr TxId kMaxTx = 64;
+inline constexpr TxId kMaxTx = 62;
 
 /// Entry/record access mode.
 enum class Mode : std::uint8_t { kFree = 0, kRead = 1, kWrite = 2 };

@@ -16,18 +16,12 @@ std::uint64_t TaggedTable::index_of(std::uint64_t block) const noexcept {
 
 TaggedTable::Record* TaggedTable::find(Slot& slot, std::uint64_t block) {
     if (slot.first.mode == Mode::kFree) return nullptr;  // empty slot
-    ++probe_steps_;
     if (slot.first.block == block) return &slot.first;
     if (slot.overflow) {
         for (Record& r : *slot.overflow) {
-            ++probe_steps_;
-            if (r.block == block) {
-                ++alias_traversals_;
-                return &r;
-            }
+            if (r.block == block) return &r;
         }
     }
-    ++alias_traversals_;  // non-empty slot, no matching record
     return nullptr;
 }
 
@@ -107,17 +101,7 @@ AcquireResult TaggedTable::acquire_write(TxId tx, std::uint64_t block) {
 
 void TaggedTable::release(TxId tx, std::uint64_t block, Mode /*mode*/) {
     Slot& slot = slots_[index_of(block)];
-    Record* r = nullptr;
-    if (slot.first.mode != Mode::kFree && slot.first.block == block) {
-        r = &slot.first;
-    } else if (slot.overflow) {
-        for (Record& cand : *slot.overflow) {
-            if (cand.block == block) {
-                r = &cand;
-                break;
-            }
-        }
-    }
+    Record* r = find(slot, block);
     if (r == nullptr) return;  // tolerated: release of an unknown block
     bool now_free = false;
     if (r->mode == Mode::kRead) {

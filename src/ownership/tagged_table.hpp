@@ -57,12 +57,6 @@ public:
     [[nodiscard]] std::uint64_t chained_slots() const noexcept;
     /// Distribution of records per slot over the whole table.
     [[nodiscard]] util::Histogram chain_length_histogram() const;
-    /// Total record-comparison steps performed by acquires (probe cost).
-    [[nodiscard]] std::uint64_t probe_steps() const noexcept { return probe_steps_; }
-    /// Acquires that had to look past the first record (alias traversals).
-    [[nodiscard]] std::uint64_t alias_traversals() const noexcept {
-        return alias_traversals_;
-    }
 
     void clear();
 
@@ -97,8 +91,6 @@ private:
     util::BlockHasher hasher_;
     std::vector<Slot> slots_;
     std::uint64_t live_records_ = 0;
-    std::uint64_t probe_steps_ = 0;
-    std::uint64_t alias_traversals_ = 0;
 };
 
 static_assert(OwnershipTable<TaggedTable>);

@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "ownership/tagless_table.hpp"
+#include "ownership/atomic_tagless_table.hpp"
 
 namespace tmb::sim {
 
@@ -45,9 +45,10 @@ ClosedSystemResult run_closed_system(const ClosedSystemConfig& config) {
     }
 
     // Blocks are drawn uniformly in [0, N), so the identity-like hash keeps
-    // the simulation equal to the paper's "assign blocks to random entries".
-    ownership::TaglessTable table({.entries = config.table_entries,
-                                   .hash = util::HashKind::kShiftMask});
+    // the simulation equal to the paper's "assign blocks to random entries"
+    // and block b is entry b.
+    ownership::AtomicTaglessTable table({.entries = config.table_entries,
+                                         .hash = util::HashKind::kShiftMask});
     util::Xoshiro256 rng{config.seed};
 
     const auto alpha_reads = static_cast<std::uint64_t>(config.alpha);
@@ -72,11 +73,18 @@ ClosedSystemResult run_closed_system(const ClosedSystemConfig& config) {
 
     ClosedSystemResult result;
     double occupancy_sum = 0.0;
+    // Non-free entries, sampled every tick. The table's own count is an
+    // O(N) scan, so the simulator counts the Free transitions it causes.
+    std::uint64_t occupied = 0;
 
     auto abort_tx = [&](TxId id) {
         ThreadState& t = threads[id];
         for (std::uint64_t block : t.held_blocks) {
+            // A block acquired twice frees its entry on the first release;
+            // the second finds the entry Free.
+            if (table.mode_at(block) == Mode::kFree) continue;
             table.release(id, block, Mode::kWrite);
+            if (table.mode_at(block) == Mode::kFree) --occupied;
         }
         t.held_blocks.clear();
         t.writes_done = 0;
@@ -85,9 +93,11 @@ ClosedSystemResult run_closed_system(const ClosedSystemConfig& config) {
     auto place_block = [&](TxId id, bool is_write) -> bool {
         ThreadState& t = threads[id];
         const std::uint64_t block = rng.below(config.table_entries);
+        const bool was_free = table.mode_at(block) == Mode::kFree;
         const auto r = is_write ? table.acquire_write(id, block)
                                 : table.acquire_read(id, block);
         if (!r.ok) return false;
+        if (was_free) ++occupied;
         t.held_blocks.push_back(block);
         return true;
     };
@@ -120,7 +130,7 @@ ClosedSystemResult run_closed_system(const ClosedSystemConfig& config) {
                 abort_tx(id);  // same cleanup; writes_done reset
             }
         }
-        occupancy_sum += static_cast<double>(table.occupied_entries());
+        occupancy_sum += static_cast<double>(occupied);
     }
 
     result.mean_occupancy =

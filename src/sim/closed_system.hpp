@@ -26,9 +26,9 @@ struct ClosedSystemConfig {
     double alpha = 2.0;                   ///< reads per write
     /// N. This simulation follows the paper's abstraction of assigning
     /// blocks to random entries directly (identity hash over [0, N)), so
-    /// distinct blocks never alias and it runs a TaglessTable: a tagged one
-    /// would count the same conflicts (ablate false conflicts with the
-    /// trace-alias or hybrid drivers).
+    /// distinct blocks never alias and it runs the tagless table
+    /// (AtomicTaglessTable): a tagged one would count the same conflicts
+    /// (ablate false conflicts with the trace-alias or hybrid drivers).
     std::uint64_t table_entries = 4096;
     std::uint64_t target_transactions = 650;  ///< completed when conflict-free
     std::uint64_t seed = 1;

@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "ownership/tagless_table.hpp"
+#include "ownership/atomic_tagless_table.hpp"
 
 namespace tmb::sim {
 
@@ -53,9 +53,10 @@ OpenSystemResult run_open_system(const OpenSystemConfig& config) {
     }
 
     // Blocks ARE entry indices (the paper assigns blocks to random entries
-    // directly), so use the identity-like hash.
-    ownership::TaglessTable table({.entries = config.table_entries,
-                                   .hash = util::HashKind::kShiftMask});
+    // directly): blocks are drawn below N, so under the identity-like hash
+    // block b is entry b.
+    ownership::AtomicTaglessTable table({.entries = config.table_entries,
+                                         .hash = util::HashKind::kShiftMask});
 
     util::Xoshiro256 rng{config.seed};
     OpenSystemResult result;
@@ -89,8 +90,7 @@ OpenSystemResult run_open_system(const OpenSystemConfig& config) {
             TxState& tx = txs[id];
             const std::uint64_t block = rng.below(config.table_entries);
             ++total_placements;
-            const std::uint64_t entry = table.index_of(block);
-            if (tx.entry_held[entry]) {
+            if (tx.entry_held[block]) {
                 ++total_intra_aliases;
                 intra_aliased = true;
             }
@@ -98,9 +98,9 @@ OpenSystemResult run_open_system(const OpenSystemConfig& config) {
                                              : table.acquire_read(id, block);
             if (!r.ok) return false;
             tx.held_blocks.push_back(block);
-            if (!tx.entry_held[entry]) {
-                tx.entry_held[entry] = true;
-                tx.touched_entries.push_back(entry);
+            if (!tx.entry_held[block]) {
+                tx.entry_held[block] = true;
+                tx.touched_entries.push_back(block);
             }
             return true;
         };
@@ -122,10 +122,8 @@ OpenSystemResult run_open_system(const OpenSystemConfig& config) {
                  s < config.non_tx_accesses_per_step && !conflicted; ++s) {
                 const std::uint64_t block = rng.below(config.table_entries);
                 const bool is_write = rng.bernoulli(config.non_tx_write_fraction);
-                // What a non-transactional access to this block observes is
-                // organization-dependent: a tagless entry answers for every
-                // aliasing block, a tagged record only for its own.
-                const auto mode = table.mode_of_block(block);
+                // A non-transactional access to block b observes entry b.
+                const auto mode = table.mode_at(block);
                 const bool hit =
                     is_write ? mode != ownership::Mode::kFree
                              : mode == ownership::Mode::kWrite;

@@ -27,8 +27,9 @@ struct OpenSystemConfig {
     std::uint64_t write_footprint = 10;  ///< W (writes per transaction)
     double alpha = 2.0;                  ///< reads per write
     /// N. Blocks ARE entry indices here (the paper's abstraction), so the
-    /// simulation runs a TaglessTable: a tagged one would count the same
-    /// conflicts. The trace-alias and hybrid drivers ablate real aliasing.
+    /// simulation runs the tagless table (AtomicTaglessTable): a tagged one
+    /// would count the same conflicts. The trace-alias and hybrid drivers
+    /// ablate real aliasing.
     std::uint64_t table_entries = 4096;
     std::uint32_t experiments = 1000;    ///< paper: 1000 per data point
     std::uint64_t seed = 1;

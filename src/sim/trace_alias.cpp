@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "trace/source.hpp"
@@ -90,7 +91,8 @@ TraceAliasResult run_samples(const TraceAliasConfig& config,
                              trace::TraceSource& source,
                              const std::vector<std::uint64_t>* stream_lengths) {
     if (config.concurrency < 2 || config.concurrency > ownership::kMaxTx) {
-        throw std::invalid_argument("concurrency must be in [2, 64]");
+        throw std::invalid_argument("concurrency must be in [2, " +
+                                    std::to_string(ownership::kMaxTx) + "]");
     }
     if (source.stream_count() < config.concurrency) {
         throw std::invalid_argument("trace has fewer streams than concurrency");

@@ -30,7 +30,7 @@ namespace tmb::sim {
 
 /// Configuration of one trace-alias data point.
 struct TraceAliasConfig {
-    std::uint32_t concurrency = 2;       ///< C streams used
+    std::uint32_t concurrency = 2;       ///< C streams, in [2, ownership::kMaxTx]
     std::uint64_t write_footprint = 10;  ///< W distinct written blocks/stream
     std::uint64_t table_entries = 4096;  ///< N
     util::HashKind hash = util::HashKind::kMix64;

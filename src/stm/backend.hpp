@@ -113,7 +113,7 @@ public:
     virtual void abort(TxContext& cx) = 0;
 
     /// Largest number of contexts that can be live simultaneously without
-    /// make_context() blocking — 62 (ownership::kMaxAtomicTx) for the table
+    /// make_context() blocking — 62 (ownership::kMaxTx) for the table
     /// engine, whichever organization; unbounded for tl2. The execution
     /// engine validates its thread count against this.
     [[nodiscard]] virtual std::uint32_t max_live_contexts() const noexcept = 0;

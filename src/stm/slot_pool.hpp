@@ -2,7 +2,8 @@
 //
 // Table backends identify live transactions by small ids (holder-bitmap
 // indices). The pool hands out the lowest free id and blocks (yielding)
-// when all are in flight.
+// when all are in flight. By default it hands out the ownership tables'
+// one TxId range, [0, ownership::kMaxTx).
 #pragma once
 
 #include <atomic>

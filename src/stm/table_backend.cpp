@@ -36,9 +36,10 @@
 //     one mutex. A tagged conflict is on the same block by construction,
 //     so it is always a true conflict.
 //
-// Both organizations cap concurrency at kMaxAtomicTx (62) transactions: the
-// adaptive wrapper quotes its initial engine's capacity and may later swap
-// tagged for tagless, so the whole family hands out one TxId range.
+// Both organizations cap concurrency at ownership::kMaxTx (62) transactions,
+// the one TxId cap: the adaptive wrapper quotes its initial engine's
+// capacity and may later swap tagged for tagless, so the whole family hands
+// out one TxId range.
 //
 // Per-transaction state is allocation-free (stm/txlocal.hpp): the block →
 // mode map is a SmallMap (inline storage, O(1) epoch clear), a tagless
@@ -66,7 +67,7 @@ namespace tmb::stm::detail {
 namespace {
 
 using ownership::AcquireResult;
-using ownership::kMaxAtomicTx;
+using ownership::kMaxTx;
 using ownership::Mode;
 using ownership::TxId;
 
@@ -156,7 +157,7 @@ private:
     };
 
     ownership::AtomicTaglessTable table_;
-    std::array<Footprint, kMaxAtomicTx> footprints_;
+    std::array<Footprint, kMaxTx> footprints_;
 };
 
 /// Tagged organization: the chaining table behind one mutex.
@@ -216,7 +217,7 @@ public:
     }
     void unpark() override { slot_ = slots_.acquire(); }
 
-    static constexpr TxId kParked = kMaxAtomicTx;
+    static constexpr TxId kParked = kMaxTx;
     SlotPool& slots_;
     TxId slot_ = kParked;
     BlockModes held_;
@@ -231,15 +232,14 @@ class TableBackend final : public Backend {
 public:
     explicit TableBackend(const StmConfig& config)
         : block_shift_(util::log2_pow2(util::next_pow2(config.block_bytes))),
-          ownership_(config.table),
-          slots_(kMaxAtomicTx) {}
+          ownership_(config.table) {}
 
     std::unique_ptr<TxContext> make_context() override {
         return std::make_unique<TableContext>(slots_);
     }
 
     std::uint32_t max_live_contexts() const noexcept override {
-        return kMaxAtomicTx;
+        return kMaxTx;
     }
 
     std::uint64_t occupied_metadata_entries() const noexcept override {

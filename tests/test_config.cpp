@@ -129,12 +129,14 @@ TEST(Table, ListsBothOrganizations) {
 
 TEST(Table, MakeTableSelectsOrganizationByName) {
     for (const std::string& name : ownership::table_names()) {
-        const auto cfg =
-            config::Config::from_string("table=" + name + " entries=128");
+        const auto cfg = config::Config::from_string(
+            "table=" + name + " entries=128 hash=shift-mask");
         const auto table = ownership::make_table(cfg);
         ASSERT_NE(table, nullptr);
-        EXPECT_EQ(table->name(), name);
         EXPECT_EQ(table->entry_count(), 128u);
+        // Blocks 3 and 3 + 128 share an entry: only tagless conflicts.
+        EXPECT_TRUE(table->acquire_write(0, 3).ok);
+        EXPECT_EQ(!table->acquire_write(1, 3 + 128).ok, name == "tagless");
     }
 }
 

@@ -128,7 +128,7 @@ TEST(Hybrid, RejectsBadConfig) {
     c.threads = 0;
     EXPECT_THROW((void)run_hybrid_tm(c), std::invalid_argument);
     c = base_config();
-    c.threads = 65;
+    c.threads = ownership::kMaxTx + 1;
     EXPECT_THROW((void)run_hybrid_tm(c), std::invalid_argument);
 }
 

@@ -11,7 +11,7 @@
 #include "core/birthday.hpp"
 #include "core/conflict_model.hpp"
 #include "ownership/any_table.hpp"
-#include "ownership/tagless_table.hpp"
+#include "ownership/atomic_tagless_table.hpp"
 #include "sim/closed_system.hpp"
 #include "sim/open_system.hpp"
 #include "sim/trace_alias.hpp"
@@ -274,7 +274,7 @@ TEST(Integration, BirthdayBoundCoversTableCollisions) {
     util::Xoshiro256 rng{123};
     util::Proportion collided;
     for (int trial = 0; trial < 4000; ++trial) {
-        ownership::TaglessTable table(
+        ownership::AtomicTaglessTable table(
             {.entries = kTable, .hash = util::HashKind::kShiftMask});
         bool any = false;
         for (ownership::TxId tx = 0; tx < kTx; ++tx) {

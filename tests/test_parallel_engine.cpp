@@ -11,8 +11,11 @@
 #include "config/config.hpp"
 #include "exec/parallel_runner.hpp"
 #include "exec/workload.hpp"
+#include "hybrid/hybrid_tm.hpp"
 #include "ownership/atomic_tagless_table.hpp"
 #include "sim/closed_system.hpp"
+#include "sim/open_system.hpp"
+#include "sim/trace_alias.hpp"
 #include "stm/stm.hpp"
 #include "util/rng.hpp"
 
@@ -29,8 +32,8 @@ config::Config cfg(std::string_view spec) {
 
 TEST(TxIdCap, AtomicTableRejectsOutOfRangeTxIds) {
     ownership::AtomicTaglessTable t({.entries = 16});
-    EXPECT_TRUE(t.acquire_read(ownership::kMaxAtomicTx - 1, 3).ok);
-    t.release(ownership::kMaxAtomicTx - 1, 3, ownership::Mode::kRead);
+    EXPECT_TRUE(t.acquire_read(ownership::kMaxTx - 1, 3).ok);
+    t.release(ownership::kMaxTx - 1, 3, ownership::Mode::kRead);
     // TxIds 62 and 63 would set mode bits instead of sharer bits.
     EXPECT_THROW((void)t.acquire_read(62, 3), std::out_of_range);
     EXPECT_THROW((void)t.acquire_write(63, 3), std::out_of_range);
@@ -39,23 +42,38 @@ TEST(TxIdCap, AtomicTableRejectsOutOfRangeTxIds) {
     EXPECT_TRUE(t.acquire_write(0, 3).ok);
 }
 
-TEST(TxIdCap, ClosedSystemValidatesAgainstTableCapacity) {
-    sim::ClosedSystemConfig c{.concurrency = ownership::kMaxTx + 1,
-                              .write_footprint = 2,
-                              .table_entries = 4096,
-                              .target_transactions = 10};
-    // 65 > 64: must fail fast with the actual cap in the message, not
-    // corrupt entries mid-run.
-    try {
-        (void)sim::run_closed_system(c);
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find("64"), std::string::npos)
-            << e.what();
-    }
-    // At the cap it runs.
-    c.concurrency = ownership::kMaxTx;
-    EXPECT_NO_THROW((void)sim::run_closed_system(c));
+TEST(TxIdCap, SimulatorsValidateAgainstTableCapacity) {
+    // One over the cap must fail fast with the cap in the message, before
+    // any table access: there TxId kMaxTx would throw std::out_of_range.
+    constexpr std::uint32_t kOver = ownership::kMaxTx + 1;
+    const auto expect_cap_error = [](const char* simulator, auto run) {
+        try {
+            run();
+            ADD_FAILURE() << simulator << ": expected std::invalid_argument";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(std::to_string(ownership::kMaxTx)),
+                      std::string::npos)
+                << simulator << ": " << e.what();
+        }
+    };
+    sim::ClosedSystemConfig closed{
+        .concurrency = kOver, .write_footprint = 2, .target_transactions = 10};
+    sim::OpenSystemConfig open{
+        .concurrency = kOver, .write_footprint = 2, .experiments = 10};
+    expect_cap_error("closed", [&] { (void)sim::run_closed_system(closed); });
+    expect_cap_error("open", [&] { (void)sim::run_open_system(open); });
+    // An empty trace: the cap check also precedes the stream-count check.
+    expect_cap_error("trace-alias", [] {
+        (void)sim::run_trace_alias(sim::TraceAliasConfig{.concurrency = kOver},
+                                   trace::MultiThreadTrace{});
+    });
+    expect_cap_error("hybrid", [] {
+        (void)hybrid::run_hybrid_tm(hybrid::HybridConfig{.threads = kOver});
+    });
+    // At the cap the open and closed systems run.
+    closed.concurrency = open.concurrency = ownership::kMaxTx;
+    EXPECT_NO_THROW((void)sim::run_closed_system(closed));
+    EXPECT_NO_THROW((void)sim::run_open_system(open));
 }
 
 TEST(TxIdCap, EngineRejectsThreadCountsOverBackendCapacity) {
@@ -78,7 +96,7 @@ TEST(TxIdCap, AdaptiveOnTaggedQuotesTheFamilyCapacity) {
     // may swap tagged for tagless, so tagged must already quote 62.
     const auto stm = stm::Stm::create(
         cfg("backend=adaptive engine=table table=tagged entries=1024"));
-    EXPECT_EQ(stm->max_live_executors(), ownership::kMaxAtomicTx);
+    EXPECT_EQ(stm->max_live_executors(), ownership::kMaxTx);
 }
 
 // ---------------------------------------------------------------------------

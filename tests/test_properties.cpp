@@ -10,8 +10,8 @@
 #include "cache/cache.hpp"
 #include "core/birthday.hpp"
 #include "core/conflict_model.hpp"
+#include "ownership/atomic_tagless_table.hpp"
 #include "ownership/tagged_table.hpp"
-#include "ownership/tagless_table.hpp"
 #include "sim/open_system.hpp"
 #include "util/rng.hpp"
 
@@ -34,7 +34,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(TableLifecycle, ReleaseRestoresEmptyTagless) {
     const auto [entries, seed] = GetParam();
-    ownership::TaglessTable table(
+    ownership::AtomicTaglessTable table(
         {.entries = entries, .hash = util::HashKind::kMix64});
     util::Xoshiro256 rng{seed};
 
@@ -108,7 +108,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(TableDominance, TaggedAcceptsWheneverTaglessDoes) {
     const auto [hash, seed] = GetParam();
-    ownership::TaglessTable tagless({.entries = 64, .hash = hash});
+    ownership::AtomicTaglessTable tagless({.entries = 64, .hash = hash});
     ownership::TaggedTable tagged({.entries = 64, .hash = hash});
     util::Xoshiro256 rng{seed};
 

@@ -33,7 +33,7 @@ TEST(SlotPool, HandsOutLowestFreeIds) {
 }
 
 TEST(SlotPool, FullCapacityDrainAndRefill) {
-    detail::SlotPool pool;  // default capacity: ownership::kMaxTx == 64
+    detail::SlotPool pool;  // default capacity: ownership::kMaxTx == 62
     for (std::uint32_t i = 0; i < ownership::kMaxTx; ++i) {
         EXPECT_EQ(pool.acquire(), i);
     }

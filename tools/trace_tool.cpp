@@ -12,6 +12,9 @@
 // Flag forms: --threads=N --accesses=N --seed=S --skew=X --format=text|binary
 // --to=text|binary.
 //
+// A flag no subcommand reads, a bad value or an unreadable input exits 2
+// with a one-line diagnostic, before any output.
+//
 // Every stage streams through the trace::TraceSource layer in O(chunk)
 // memory, so trace length is bounded by disk, not RAM. Two container
 // formats are supported and auto-detected on input by magic bytes: the
@@ -75,7 +78,8 @@ double opt_f64(const Config& cli, std::string_view key, std::size_t index,
 /// The explicit --format=/--to= flag (synonyms; --format wins), if any.
 std::optional<TraceFormat> format_flag(const Config& cli) {
     std::string name = cli.get("format", "");
-    if (name.empty()) name = cli.get("to", "");
+    const std::string to = cli.get("to", "");
+    if (name.empty()) name = to;
     if (name == "text") return TraceFormat::kText;
     if (name == "binary") return TraceFormat::kBinary;
     if (!name.empty()) {
@@ -133,9 +137,10 @@ int cmd_generate(const Config& cli) {
     } else {
         return usage();
     }
+    const TraceFormat format = out_format(cli, out);
+    tmb::config::reject_unknown(cli);
 
     const auto source = tmb::trace::make_trace_source(src);
-    const TraceFormat format = out_format(cli, out);
     tmb::trace::save_trace_file(out, *source, format);
     std::cout << "wrote " << out << " (" << source->stream_count()
               << " streams x " << src.get("accesses", "") << " accesses, "
@@ -154,6 +159,7 @@ int cmd_convert(const Config& cli) {
     // --format=/--to= pins it explicitly.
     const TraceFormat format = format_flag(cli).value_or(
         in_binary ? TraceFormat::kText : TraceFormat::kBinary);
+    tmb::config::reject_unknown(cli);
 
     const auto source = tmb::trace::open_trace_file(in);
     tmb::trace::save_trace_file(out, *source, format);
@@ -166,6 +172,7 @@ int cmd_convert(const Config& cli) {
 
 int cmd_analyze(const Config& cli) {
     if (cli.positional().size() < 2) return usage();
+    tmb::config::reject_unknown(cli);
     const auto source = tmb::trace::open_trace_file(cli.positional()[1]);
 
     // One drain answers both questions: each chunk feeds the per-stream
@@ -201,8 +208,9 @@ int cmd_analyze(const Config& cli) {
 int cmd_filter(const Config& cli) {
     const auto& pos = cli.positional();
     if (pos.size() < 3) return usage();
-    const auto source = tmb::trace::open_trace_file(pos[1]);
     const TraceFormat format = out_format(cli, pos[2]);
+    tmb::config::reject_unknown(cli);
+    const auto source = tmb::trace::open_trace_file(pos[1]);
 
     std::ofstream os(pos[2], format == TraceFormat::kBinary
                                  ? std::ios::out | std::ios::binary
@@ -231,7 +239,8 @@ int cmd_filter(const Config& cli) {
     return 0;
 }
 
-int cmd_profiles() {
+int cmd_profiles(const Config& cli) {
+    tmb::config::reject_unknown(cli);
     for (const auto& p : tmb::trace::spec2000_profiles()) {
         std::cout << p.name << ": p_new=" << p.p_new_block
                   << " run_continue=" << p.run_continue
@@ -241,21 +250,20 @@ int cmd_profiles() {
     return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int trace_tool_main(int argc, char** argv) {
     const Config cli = Config::from_args(argc, argv);
     if (cli.positional().empty()) return usage();
     const std::string& cmd = cli.positional().front();
-    try {
-        if (cmd == "generate") return cmd_generate(cli);
-        if (cmd == "convert") return cmd_convert(cli);
-        if (cmd == "analyze") return cmd_analyze(cli);
-        if (cmd == "filter") return cmd_filter(cli);
-        if (cmd == "profiles") return cmd_profiles();
-    } catch (const std::exception& e) {
-        std::cerr << "error: " << e.what() << '\n';
-        return 1;
-    }
+    if (cmd == "generate") return cmd_generate(cli);
+    if (cmd == "convert") return cmd_convert(cli);
+    if (cmd == "analyze") return cmd_analyze(cli);
+    if (cmd == "filter") return cmd_filter(cli);
+    if (cmd == "profiles") return cmd_profiles(cli);
     return usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+    return tmb::config::guarded_main(trace_tool_main, argc, argv);
 }
