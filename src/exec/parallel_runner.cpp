@@ -123,11 +123,12 @@ ParallelResult ParallelRunner::run() {
         result.stats.attempts_per_commit.merge(
             result.per_thread.back().attempts_per_commit);
     }
-    // Destroy the executors NOW: each tears down its reclamation state (its
-    // buffered retired blocks reach the retired list, which the pending==0
-    // check below needs) and then adds its block to the Stm's retired
-    // total.
+    // Destroy the executors NOW: each hands its buffered retired blocks to
+    // the retired list and adds its block to the Stm's retired total. Then,
+    // quiescent (threads joined, executors gone), release every retired
+    // block before the snapshot, so the run counts what the drain reclaims.
     executors.clear();
+    stm_->reclaim_drain();
     const stm::StmStats after = stm_->stats();
     for (const auto field : stm::StmStats::counters()) {
         result.stats.*field = after.*field - before.*field;
@@ -145,10 +146,7 @@ ParallelResult ParallelRunner::run() {
         if (err) std::rethrow_exception(err);
     }
 
-    // Quiescent now (all threads joined, all executors destroyed): release
-    // every retired block — nothing can still hold one — then check that
-    // the allocation ledger balances and the ownership table is empty.
-    stm_->reclaim_drain();
+    // Check that the allocation ledger balances and the table is empty.
     const stm::ReclaimStats reclaim = stm_->reclaim_stats();
     if (reclaim.pending_blocks() != 0) {
         throw std::runtime_error(

@@ -32,7 +32,7 @@ public:
     virtual AcquireResult acquire_write(TxId tx, std::uint64_t block) = 0;
     virtual void release(TxId tx, std::uint64_t block, Mode mode) = 0;
     [[nodiscard]] virtual std::uint64_t entry_count() const noexcept = 0;
-    /// Currently held entries/records; on the tagless table an O(N) scan.
+    /// Currently held entries/records; an O(N) scan on both tables.
     [[nodiscard]] virtual std::uint64_t occupied_entries() const noexcept = 0;
     virtual void clear() = 0;
 };

@@ -7,14 +7,13 @@
 //
 //   * `AtomicTaglessTable` (Fig. 1): no tags; all blocks hashing to an entry
 //     are indistinguishable → aliasing causes FALSE conflicts (the paper's
-//     subject). One atomic word per entry, so the STM runs it lock-free and
-//     the simulators run the same class single-threaded.
+//     subject). One atomic word per entry, updated lock-free.
 //   * `TaggedTable` (Fig. 7): tags + chaining; aliases get separate records
-//     → no false conflicts, occasional chains.
+//     → no false conflicts, occasional chains. One spin lock per slot.
 //
 // Both expose the same acquire/release interface (the `OwnershipTable`
-// concept below) so simulators, the STM and the benches are generic over the
-// organization.
+// concept below), safe on real threads, so the STM (on real threads), the
+// simulators and the benches (single-threaded) run the same two classes.
 #pragma once
 
 #include <concepts>
@@ -55,10 +54,11 @@ struct TableConfig {
 /// idempotent per (tx, block): re-acquiring a held permission succeeds
 /// without extra bookkeeping. `release(tx, block, mode)` must be called once
 /// per distinct (block, strongest-mode) the transaction acquired; releasing
-/// a write that was upgraded from a read releases everything. Tables count
-/// nothing: a caller that wants counts keeps them (the STM counts conflicts
-/// into the transaction's StmStats block, the simulators into their
-/// results).
+/// a write that was upgraded from a read releases everything. Acquire and
+/// release are thread-safe; `occupied_entries()` (an O(N) scan) and
+/// `clear()` are for quiescent points. Tables count nothing: a caller that
+/// wants counts keeps them (the STM into the transaction's StmStats block,
+/// the simulators into their results).
 template <typename T>
 concept OwnershipTable = requires(T t, const T ct, TxId tx, std::uint64_t block) {
     { t.acquire_read(tx, block) } -> std::same_as<AcquireResult>;

@@ -1,13 +1,23 @@
 #include "ownership/tagged_table.hpp"
 
+#include <mutex>
 #include <stdexcept>
+
+#include "util/bits.hpp"
 
 namespace tmb::ownership {
 
 TaggedTable::TaggedTable(TableConfig config)
-    : config_(config), hasher_(config.hash, config.entries) {
+    : config_(config), hasher_(config.hash, config.entries), slots_(config.entries) {
     if (config_.entries == 0) throw std::invalid_argument("table must have entries");
-    slots_.resize(config_.entries);
+}
+
+/// Test-and-test-and-set: a waiter spins on loads, not exchanges, so it
+/// leaves the slot's cache line with the holder until its release store.
+void TaggedTable::Slot::lock() noexcept {
+    while (locked.exchange(true, std::memory_order_acquire)) {
+        while (locked.load(std::memory_order_relaxed)) util::cpu_relax();
+    }
 }
 
 std::uint64_t TaggedTable::index_of(std::uint64_t block) const noexcept {
@@ -27,7 +37,6 @@ TaggedTable::Record* TaggedTable::find(Slot& slot, std::uint64_t block) {
 
 TaggedTable::Record& TaggedTable::find_or_create(Slot& slot, std::uint64_t block) {
     if (Record* r = find(slot, block)) return *r;
-    ++live_records_;
     if (slot.first.mode == Mode::kFree) {
         slot.first = Record{.block = block};
         return slot.first;
@@ -41,7 +50,6 @@ TaggedTable::Record& TaggedTable::find_or_create(Slot& slot, std::uint64_t block
 /// chain is not observable); a freed inline record promotes the chain tail
 /// so the "overflow implies inline live" invariant holds. Buffers persist.
 void TaggedTable::remove(Slot& slot, Record& record) {
-    --live_records_;
     if (&record == &slot.first) {
         if (slot.overflow && !slot.overflow->empty()) {
             slot.first = slot.overflow->back();
@@ -57,6 +65,7 @@ void TaggedTable::remove(Slot& slot, Record& record) {
 
 AcquireResult TaggedTable::acquire_read(TxId tx, std::uint64_t block) {
     Slot& slot = slots_[index_of(block)];
+    const std::lock_guard guard(slot);
     Record& r = find_or_create(slot, block);
     switch (r.mode) {
         case Mode::kFree:
@@ -75,6 +84,7 @@ AcquireResult TaggedTable::acquire_read(TxId tx, std::uint64_t block) {
 
 AcquireResult TaggedTable::acquire_write(TxId tx, std::uint64_t block) {
     Slot& slot = slots_[index_of(block)];
+    const std::lock_guard guard(slot);
     Record& r = find_or_create(slot, block);
     switch (r.mode) {
         case Mode::kFree:
@@ -101,6 +111,7 @@ AcquireResult TaggedTable::acquire_write(TxId tx, std::uint64_t block) {
 
 void TaggedTable::release(TxId tx, std::uint64_t block, Mode /*mode*/) {
     Slot& slot = slots_[index_of(block)];
+    const std::lock_guard guard(slot);
     Record* r = find(slot, block);
     if (r == nullptr) return;  // tolerated: release of an unknown block
     bool now_free = false;
@@ -111,6 +122,12 @@ void TaggedTable::release(TxId tx, std::uint64_t block, Mode /*mode*/) {
         now_free = true;
     }
     if (now_free) remove(slot, *r);
+}
+
+std::uint64_t TaggedTable::occupied_entries() const noexcept {
+    std::uint64_t n = 0;
+    for (const auto& s : slots_) n += s.live();
+    return n;
 }
 
 std::uint64_t TaggedTable::chained_slots() const noexcept {
@@ -130,7 +147,6 @@ void TaggedTable::clear() {
         s.first = Record{};
         if (s.overflow) s.overflow->clear();  // buffer retained
     }
-    live_records_ = 0;
 }
 
 }  // namespace tmb::ownership

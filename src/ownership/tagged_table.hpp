@@ -14,12 +14,21 @@
 //
 // Storage mirrors Fig. 7's record-or-pointer union: each slot holds its
 // first record INLINE (§5: "the overwhelming majority of entries store 0 or
-// 1 records", so the common acquire touches exactly one cache line and
-// allocates nothing) and spills chained records into a lazily allocated
+// 1 records", so the common acquire touches one 40-byte slot and allocates
+// nothing) and spills chained records into a lazily allocated
 // overflow vector whose capacity is retained after release — steady-state
 // acquire/release cycles are allocation-free even under chaining.
+//
+// The STM runs this one tagged class on real threads; `make_table("tagged")`,
+// trace-alias and the hybrid-TM model run it single-threaded. An acquire or
+// release holds only its block's slot's spin lock, with no scheduler yield
+// point inside: per slot, not per block, since a slot's blocks share its
+// inline record and overflow vector. The table counts nothing; its scans
+// (`occupied_entries`, `chained_slots`, `chain_length_histogram`) and
+// `clear()` take no lock, so call them only at quiescent points.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -44,15 +53,13 @@ public:
     /// Releases `tx`'s hold on `block`'s record; empty records are unlinked.
     void release(TxId tx, std::uint64_t block, Mode mode);
 
-    // --- inspection ---
+    // --- inspection (scans, exact only when quiescent) ---
     [[nodiscard]] std::uint64_t entry_count() const noexcept { return config_.entries; }
     [[nodiscard]] const TableConfig& config() const noexcept { return config_; }
     /// Live ownership records — the tagged analog of a tagless table's
     /// occupied entries (each held block has its own record, chained records
-    /// counted individually). O(1).
-    [[nodiscard]] std::uint64_t occupied_entries() const noexcept {
-        return live_records_;
-    }
+    /// counted individually).
+    [[nodiscard]] std::uint64_t occupied_entries() const noexcept;
     /// Slots currently holding >= 2 records (i.e. actually chained).
     [[nodiscard]] std::uint64_t chained_slots() const noexcept;
     /// Distribution of records per slot over the whole table.
@@ -71,10 +78,14 @@ private:
     /// not kFree), chained records in `overflow` (allocated on first chain,
     /// buffer kept across releases). Invariant: overflow is non-empty only
     /// while the inline record is live (release promotes a chained record
-    /// into a freed inline slot).
+    /// into a freed inline slot). `locked` guards both.
     struct Slot {
         Record first;
         std::unique_ptr<std::vector<Record>> overflow;
+        std::atomic<bool> locked{false};
+
+        void lock() noexcept;
+        void unlock() noexcept { locked.store(false, std::memory_order_release); }
 
         [[nodiscard]] std::uint64_t live() const noexcept {
             return (first.mode != Mode::kFree ? 1u : 0u) +
@@ -90,7 +101,6 @@ private:
     TableConfig config_;
     util::BlockHasher hasher_;
     std::vector<Slot> slots_;
-    std::uint64_t live_records_ = 0;
 };
 
 static_assert(OwnershipTable<TaggedTable>);

@@ -62,7 +62,7 @@ namespace tmb::stm {
 ///                     (true/false classification exact under the sched
 ///                     harness, best-effort on real threads).
 ///   kTaggedTable    — Fig. 7 tagged/chaining organization (no false
-///                     conflicts), one metadata mutex.
+///                     conflicts), one spin lock per table slot.
 ///   kTl2            — TL2-style versioned locks + global version clock.
 ///   kAdaptive       — epoch-based policy layer (src/adapt/) wrapping one
 ///                     of the concrete engines above, re-tuning table

@@ -12,7 +12,7 @@
 //     ownership inside commit(), one entry at a time, before write-back.
 //
 // Both disciplines share one acquire / classify / release core, templated
-// on the organization:
+// on the table, which synchronizes itself; only classification differs:
 //
 //   * tagless — ownership::AtomicTaglessTable: one word per entry, one
 //     locked instruction (the entry CAS) per acquire, one CAS per read
@@ -32,9 +32,9 @@
 //     plus publish are one step, so the split is exact; on real threads a
 //     conflicting transaction may finish, or start another, between the
 //     failed CAS and the lookup, so it is best-effort.
-//   * tagged — ownership::TaggedTable, a single-threaded structure behind
-//     one mutex. A tagged conflict is on the same block by construction,
-//     so it is always a true conflict.
+//   * tagged — ownership::TaggedTable, whose acquire and release hold only
+//     their slot's spin lock. A tagged conflict is on the same block by
+//     construction, so it is always true and nothing is published.
 //
 // Both organizations cap concurrency at ownership::kMaxTx (62) transactions,
 // the one TxId cap: the adaptive wrapper quotes its initial engine's
@@ -71,28 +71,15 @@ using ownership::kMaxTx;
 using ownership::Mode;
 using ownership::TxId;
 
-/// Block → strongest mode one transaction holds.
-using BlockModes = SmallMap<std::uint64_t, Mode>;
+/// What a failed acquire needs to tell a true conflict from an alias, per
+/// table: the tagless table's holders publish their blocks here (see the
+/// file header for how), the tagged table needs nothing.
+template <typename Table>
+class Footprints;
 
-[[nodiscard]] AcquireResult acquire_in(auto& table, TxId slot,
-                                       std::uint64_t block, Mode mode) {
-    return mode == Mode::kWrite ? table.acquire_write(slot, block)
-                                : table.acquire_read(slot, block);
-}
-
-/// Tagless organization: the lock-free table plus, per slot, the blocks the
-/// slot's transaction holds (padded so slots do not share a cache line; see
-/// the file header for how they are published).
-class TaglessOwnership {
+template <>
+class Footprints<ownership::AtomicTaglessTable> {
 public:
-    explicit TaglessOwnership(const ownership::TableConfig& shape)
-        : table_(shape) {}
-
-    [[nodiscard]] AcquireResult acquire(TxId slot, std::uint64_t block,
-                                        Mode mode) {
-        return acquire_in(table_, slot, block, mode);
-    }
-
     /// Adds `block` to `slot`'s footprint. Only the slot's transaction
     /// calls this, once per block it newly holds.
     void publish(TxId slot, std::uint64_t block) {
@@ -119,10 +106,7 @@ public:
         return false;
     }
 
-    void release_all(TxId slot, const BlockModes& held) {
-        held.for_each([&](std::uint64_t block, Mode mode) {
-            table_.release(slot, block, mode);
-        });
+    void clear(TxId slot) {
         Footprint& fp = footprints_[slot];
         // The owner is the spill's only writer, so it may test it unlocked.
         if (!fp.spill.empty()) {
@@ -132,11 +116,8 @@ public:
         fp.count.store(0, std::memory_order_relaxed);
     }
 
-    [[nodiscard]] std::uint64_t occupied_entries() const noexcept {
-        return table_.occupied_entries();
-    }
-
 private:
+    /// One per slot, padded so slots do not share a cache line.
     struct alignas(64) Footprint {
         std::atomic<std::uint32_t> count{0};
         std::array<std::atomic<std::uint64_t>, kTaglessInlineBlocks> blocks;
@@ -156,46 +137,18 @@ private:
         }
     };
 
-    ownership::AtomicTaglessTable table_;
     std::array<Footprint, kMaxTx> footprints_;
 };
 
-/// Tagged organization: the chaining table behind one mutex.
-class TaggedOwnership {
-public:
-    explicit TaggedOwnership(const ownership::TableConfig& shape)
-        : table_(shape) {}
-
-    [[nodiscard]] AcquireResult acquire(TxId slot, std::uint64_t block,
-                                        Mode mode) {
-        const std::lock_guard<std::mutex> guard(mutex_);
-        return acquire_in(table_, slot, block, mode);
-    }
-
-    /// Tags make every conflict one on the block itself, so there is no
-    /// footprint to publish to.
+/// Tags make every tagged conflict one on the block itself.
+template <>
+struct Footprints<ownership::TaggedTable> {
     static void publish(TxId /*slot*/, std::uint64_t /*block*/) {}
-
     [[nodiscard]] static bool same_block(std::uint64_t /*block*/,
                                          std::uint64_t /*conflicting*/) {
         return true;
     }
-
-    void release_all(TxId slot, const BlockModes& held) {
-        const std::lock_guard<std::mutex> guard(mutex_);
-        held.for_each([&](std::uint64_t block, Mode mode) {
-            table_.release(slot, block, mode);
-        });
-    }
-
-    [[nodiscard]] std::uint64_t occupied_entries() const noexcept {
-        const std::lock_guard<std::mutex> guard(mutex_);
-        return table_.occupied_entries();
-    }
-
-private:
-    mutable std::mutex mutex_;
-    ownership::TaggedTable table_;
+    static void clear(TxId /*slot*/) {}
 };
 
 struct UndoEntry {
@@ -220,19 +173,19 @@ public:
     static constexpr TxId kParked = kMaxTx;
     SlotPool& slots_;
     TxId slot_ = kParked;
-    BlockModes held_;
+    SmallMap<std::uint64_t, Mode> held_;  ///< block → strongest mode held
     std::vector<UndoEntry> undo_;  ///< eager: in-place writes, oldest first
     /// Lazy: one entry per address in first-write order (rewrites update in
     /// place), with the shared scan-then-index lookup.
     WriteLog redo_;
 };
 
-template <typename Ownership, bool kLazy>
+template <typename Table, bool kLazy>
 class TableBackend final : public Backend {
 public:
     explicit TableBackend(const StmConfig& config)
         : block_shift_(util::log2_pow2(util::next_pow2(config.block_bytes))),
-          ownership_(config.table) {}
+          table_(config.table) {}
 
     std::unique_ptr<TxContext> make_context() override {
         return std::make_unique<TableContext>(slots_);
@@ -243,7 +196,7 @@ public:
     }
 
     std::uint64_t occupied_metadata_entries() const noexcept override {
-        return ownership_.occupied_entries();
+        return table_.occupied_entries();
     }
 
     void begin(TxContext& cx_base) override {
@@ -348,10 +301,12 @@ private:
     /// dirty reads and racy writes, which the sched oracle must catch.
     [[nodiscard]] bool acquire(TableContext& cx, std::uint64_t block,
                                Mode mode) {
-        const AcquireResult r = ownership_.acquire(cx.slot_, block, mode);
+        const AcquireResult r = mode == Mode::kWrite
+                                    ? table_.acquire_write(cx.slot_, block)
+                                    : table_.acquire_read(cx.slot_, block);
         if (r.ok) {
             if (cx.held_.put(block, mode)) {
-                ownership_.publish(cx.slot_, block);
+                footprints_.publish(cx.slot_, block);
             }
             return true;
         }
@@ -359,39 +314,43 @@ private:
                 std::memory_order_relaxed)) {
             return true;
         }
-        ++(ownership_.same_block(block, r.conflicting)
+        ++(footprints_.same_block(block, r.conflicting)
                ? cx.stats->true_conflicts
                : cx.stats->false_conflicts);
         return false;
     }
 
     void release_all(TableContext& cx) {
-        ownership_.release_all(cx.slot_, cx.held_);
+        cx.held_.for_each([&](std::uint64_t block, Mode mode) {
+            table_.release(cx.slot_, block, mode);
+        });
+        footprints_.clear(cx.slot_);
         cx.held_.clear();
         cx.undo_.clear();
         cx.redo_.clear();
     }
 
     unsigned block_shift_;
-    Ownership ownership_;
+    Table table_;
+    Footprints<Table> footprints_;
     SlotPool slots_;
 };
 
-template <typename Ownership>
+template <typename Table>
 std::unique_ptr<Backend> make_engine(const StmConfig& config) {
     if (config.commit_time_locks) {
-        return std::make_unique<TableBackend<Ownership, true>>(config);
+        return std::make_unique<TableBackend<Table, true>>(config);
     }
-    return std::make_unique<TableBackend<Ownership, false>>(config);
+    return std::make_unique<TableBackend<Table, false>>(config);
 }
 
 }  // namespace
 
 std::unique_ptr<Backend> make_table_backend(const StmConfig& config) {
     if (config.backend == BackendKind::kTaglessTable) {
-        return make_engine<TaglessOwnership>(config);
+        return make_engine<ownership::AtomicTaglessTable>(config);
     }
-    return make_engine<TaggedOwnership>(config);
+    return make_engine<ownership::TaggedTable>(config);
 }
 
 }  // namespace tmb::stm::detail

@@ -373,8 +373,13 @@ void ReclaimDomain::drain_all(StmStats& stats) noexcept {
         auto lock = lock_counted(epoch_mutex_, stats);
         stats.reclaimed += take_buckets(retired_.size(), releasable);
     }
+    // Drained blocks go straight back to the heap: a trip through the
+    // depot, which is emptied below, would take its mutex once per block.
+    ReclaimObserver* obs = observer_.load(std::memory_order_relaxed);
     for (const RetiredBlock& block : releasable) {
-        (void)release_destroy(block, nullptr, stats);
+        if (obs != nullptr && !obs->on_reclaim(block.ptr)) continue;
+        block.destroy(block.ptr);
+        if (block.size_class != kUncachedClass) ::operator delete(block.ptr);
     }
     // Return the depot's free blocks (already released and counted) to the
     // heap, so a drained domain holds no memory at all. With an observer
@@ -383,7 +388,6 @@ void ReclaimDomain::drain_all(StmStats& stats) noexcept {
     // before any cache sees it, so its shelves stay empty): offer each one
     // back — a veto means the observer owns the storage and will free it,
     // and freeing here too would be a real double free.
-    ReclaimObserver* obs = observer_.load(std::memory_order_relaxed);
     auto lock = lock_counted(depot_.mutex, stats);
     for (std::size_t sc = 0; sc < kCacheSizeClasses; ++sc) {
         for (void* p : depot_.shelves[sc]) {

@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <ctime>
 
+#include "util/bits.hpp"
+
 namespace tmb::svc {
 
 namespace {
@@ -32,12 +34,6 @@ constexpr auto kSpin = std::chrono::microseconds(5);
 // Hint probes per clock read: the deadline needs no finer check.
 constexpr int kProbesPerClockRead = 8;
 
-void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-}
-
 }  // namespace
 
 bool SubmitQueues::work_hint() const {
@@ -53,7 +49,7 @@ bool SubmitQueues::spin_for_work() const {
     do {
         for (int i = 0; i < kProbesPerClockRead; ++i) {
             if (work_hint()) return true;
-            cpu_relax();
+            util::cpu_relax();
         }
     } while (std::chrono::steady_clock::now() < until);
     return false;

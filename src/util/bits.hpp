@@ -1,5 +1,5 @@
 // bits.hpp — small bit-manipulation helpers shared by the hash functions,
-// ownership tables and the cache simulator.
+// ownership tables and the cache simulator, and the spin-wait hint.
 #pragma once
 
 #include <bit>
@@ -27,6 +27,13 @@ namespace tmb::util {
 /// Mask with the low `n` bits set (n <= 63).
 [[nodiscard]] constexpr std::uint64_t low_mask(unsigned n) noexcept {
     return (std::uint64_t{1} << n) - 1;
+}
+
+/// Spin-wait hint for a loop that polls a word another core will write.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
 }
 
 }  // namespace tmb::util

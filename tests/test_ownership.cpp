@@ -4,6 +4,13 @@
 // table does not.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "ownership/any_table.hpp"
 #include "ownership/atomic_tagless_table.hpp"
 #include "ownership/tagged_table.hpp"
@@ -241,6 +248,66 @@ TEST(Tagged, ClearRemovesRecords) {
 
 TEST(Tagged, RejectsZeroEntries) {
     EXPECT_THROW(TaggedTable(direct(0)), std::invalid_argument);
+}
+
+TEST(Tagged, RealThreadsNeverShareAWriteHeldBlock) {
+    // 4 threads on 16 slots and 64 blocks (four per slot under shift-mask),
+    // each holding up to 3 blocks at a time, so slots chain and threads
+    // meet on slot locks and overflow vectors. Each thread counts its holds
+    // per block only inside the table's hold (after the acquire, before the
+    // release), so a write hold that overlaps any other hold shows up as a
+    // count the table should have made impossible, whatever the schedule.
+    constexpr TxId kThreads = 4;
+    constexpr std::uint64_t kBlocks = 64;
+    constexpr int kRounds = 10000;
+    TaggedTable table(direct(16));
+    std::array<std::atomic<int>, kBlocks> readers{};
+    std::array<std::atomic<int>, kBlocks> writers{};
+    std::atomic<int> violations{0};
+    std::vector<std::thread> threads;
+    for (TxId tx = 0; tx < kThreads; ++tx) {
+        threads.emplace_back([&, tx] {
+            util::Xoshiro256 rng{tx + 1u};
+            std::vector<std::pair<std::uint64_t, Mode>> held;
+            for (int round = 0; round < kRounds; ++round) {
+                for (int i = 0; i < 3; ++i) {
+                    const std::uint64_t block = rng.below(kBlocks);
+                    if (std::any_of(held.begin(), held.end(),
+                                    [&](const auto& h) { return h.first == block; })) {
+                        continue;
+                    }
+                    const bool write = rng.bernoulli(0.3);
+                    const auto r = write ? table.acquire_write(tx, block)
+                                         : table.acquire_read(tx, block);
+                    if (!r.ok) {
+                        // A failure names another holder, never tx itself.
+                        if (r.conflicting == 0 || (r.conflicting & tx_bit(tx)) != 0) {
+                            ++violations;
+                        }
+                        break;
+                    }
+                    if (write) {
+                        if (writers[block].fetch_add(1) != 0 || readers[block].load() != 0) {
+                            ++violations;
+                        }
+                    } else {
+                        readers[block].fetch_add(1);
+                        if (writers[block].load() != 0) ++violations;
+                    }
+                    held.emplace_back(block, write ? Mode::kWrite : Mode::kRead);
+                }
+                for (const auto& [block, mode] : held) {
+                    (mode == Mode::kWrite ? writers : readers)[block].fetch_sub(1);
+                    table.release(tx, block, mode);
+                }
+                held.clear();
+            }
+        });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(violations.load(), 0);
+    EXPECT_EQ(table.occupied_entries(), 0u);
+    EXPECT_EQ(table.chained_slots(), 0u);
 }
 
 // ---------------------------------------------------------------------------

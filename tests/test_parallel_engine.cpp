@@ -378,6 +378,17 @@ TEST(StampWorkloads, VacationHoldsItsInvariantOnAllBackends) {
     }
 }
 
+TEST(StampWorkloads, RunReclaimsEveryBlockItFrees) {
+    // run() snapshots its counters after the quiescent drain, so a run's
+    // reclaimed count includes the blocks that drain releases.
+    exec::ParallelRunner runner(
+        cfg("workload=vacation backend=tagless entries=16384 threads=1 "
+            "ops=2000 seed=24301"));
+    const auto r = runner.run();
+    EXPECT_GT(r.stats.tx_frees, 0u);
+    EXPECT_EQ(r.stats.reclaimed, r.stats.tx_frees);
+}
+
 TEST(StampWorkloads, KmeansHoldsItsInvariantOnAllBackends) {
     for (const char* backend : {"table", "tagged", "tl2", "adaptive"}) {
         exec::ParallelRunner runner(

@@ -33,6 +33,7 @@ int smoke_main(int argc, char** argv) {
     } rows[] = {{"tl2", "", false},
                 {"table", "tagless", false},
                 {"table", "tagless", true},
+                {"table", "tagged", false},
                 {"table", "tagged", true},
                 {"adaptive", "", false}};
     bool all_ok = true;

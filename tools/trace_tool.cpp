@@ -21,7 +21,6 @@
 // plain-text format of trace/trace_io.hpp and the compact binary format of
 // trace/binary_io.hpp (~5x smaller). Output format follows the file
 // extension (.tbin/.bin = binary) unless --format= / --to= overrides it.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -58,21 +57,26 @@ int usage() {
     return 2;
 }
 
+/// The positional at `index` as `key=value`, so that it goes through the
+/// same checked parse as `--key=`: the whole value, in range.
+Config positional(const Config& cli, std::string_view key, std::size_t index) {
+    Config out;
+    const auto& pos = cli.positional();
+    if (index < pos.size()) out.set(key, pos[index]);
+    return out;
+}
+
 /// Positional-or-flag lookup: flags win, then the positional at `index`.
 std::uint64_t opt_u64(const Config& cli, std::string_view key,
                       std::size_t index, std::uint64_t fallback) {
-    const auto& pos = cli.positional();
     if (cli.has(key)) return cli.get_u64(key, fallback);
-    return index < pos.size() ? std::strtoull(pos[index].c_str(), nullptr, 10)
-                              : fallback;
+    return positional(cli, key, index).get_u64(key, fallback);
 }
 
 double opt_f64(const Config& cli, std::string_view key, std::size_t index,
                double fallback) {
-    const auto& pos = cli.positional();
     if (cli.has(key)) return cli.get_double(key, fallback);
-    return index < pos.size() ? std::strtod(pos[index].c_str(), nullptr)
-                              : fallback;
+    return positional(cli, key, index).get_double(key, fallback);
 }
 
 /// The explicit --format=/--to= flag (synonyms; --format wins), if any.
