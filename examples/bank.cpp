@@ -28,8 +28,8 @@ struct RunResult {
     double millis = 0.0;
 };
 
-RunResult run_bank(const std::string& backend, int threads,
-                   int transfers_per_thread) {
+RunResult run_bank(const std::string& backend, std::uint32_t threads,
+                   std::uint32_t transfers_per_thread) {
     // Backend by name; the table is small on purpose so aliasing
     // pressure is visible.
     const auto tm_owner = Stm::create(tmb::config::Config::from_string(
@@ -50,11 +50,11 @@ RunResult run_bank(const std::string& backend, int threads,
 
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
+    workers.reserve(threads);
+    for (std::uint32_t t = 0; t < threads; ++t) {
         workers.emplace_back([&, t] {
-            tmb::util::Xoshiro256 rng{static_cast<std::uint64_t>(t) * 31 + 7};
-            for (int i = 0; i < transfers_per_thread; ++i) {
+            tmb::util::Xoshiro256 rng{std::uint64_t{t} * 31 + 7};
+            for (std::uint32_t i = 0; i < transfers_per_thread; ++i) {
                 const auto from = static_cast<std::size_t>(rng.below(kAccounts));
                 auto to = static_cast<std::size_t>(rng.below(kAccounts));
                 if (to == from) to = (to + 1) % kAccounts;
@@ -87,11 +87,9 @@ RunResult run_bank(const std::string& backend, int threads,
 
 int example_main(int argc, char** argv) {
     const auto cli = tmb::config::Config::from_args(argc, argv);
-    const auto& pos = cli.positional();
-    const int threads = static_cast<int>(
-        cli.get_u64("threads", pos.size() > 0 ? std::stoul(pos[0]) : 4));
-    const int transfers = static_cast<int>(
-        cli.get_u64("transfers", pos.size() > 1 ? std::stoul(pos[1]) : 2000));
+    const std::uint32_t threads = tmb::config::opt_u32(cli, "threads", 0, 4);
+    const std::uint32_t transfers =
+        tmb::config::opt_u32(cli, "transfers", 1, 2000);
     // One row per backend; `--backend=NAME` pins a single one.
     std::vector<std::string> backends;
     if (const auto pinned = cli.get_optional("backend")) {

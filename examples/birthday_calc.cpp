@@ -10,7 +10,6 @@
 // likelihood (Eq. 8), commit probability, and the table sizes required for
 // common commit-rate targets — the calculation an STM designer would run
 // before choosing a metadata organization.
-#include <cstdlib>
 #include <iostream>
 
 #include "config/config.hpp"
@@ -22,17 +21,10 @@ int example_main(int argc, char** argv) {
     using tmb::util::TablePrinter;
 
     const auto cli = tmb::config::Config::from_args(argc, argv);
-    const auto& pos = cli.positional();
-    const std::uint64_t w = cli.get_u64(
-        "w", pos.size() > 0 ? std::strtoull(pos[0].c_str(), nullptr, 10) : 71);
-    const double alpha = cli.get_double(
-        "alpha", pos.size() > 1 ? std::strtod(pos[1].c_str(), nullptr) : 2.0);
-    const std::uint32_t c = cli.get_u32(
-        "c", pos.size() > 2
-                 ? static_cast<std::uint32_t>(std::strtoul(pos[2].c_str(), nullptr, 10))
-                 : 2);
-    const std::uint64_t n = cli.get_u64(
-        "n", pos.size() > 3 ? std::strtoull(pos[3].c_str(), nullptr, 10) : 65536);
+    const std::uint64_t w = tmb::config::opt_u64(cli, "w", 0, 71);
+    const double alpha = tmb::config::opt_f64(cli, "alpha", 1, 2.0);
+    const std::uint32_t c = tmb::config::opt_u32(cli, "c", 2, 2);
+    const std::uint64_t n = tmb::config::opt_u64(cli, "n", 3, 65536);
     tmb::config::reject_unknown(cli);
 
     if (w == 0 || c < 2 || n == 0 || alpha < 0.0) {

@@ -21,6 +21,16 @@ namespace {
     return out;
 }
 
+/// The positional at `index` as a one-key `key=value` config (empty when
+/// there is none), so that it goes through the flag's checked getter.
+[[nodiscard]] Config positional(const Config& cli, std::string_view key,
+                                std::size_t index) {
+    Config out;
+    const auto& pos = cli.positional();
+    if (index < pos.size()) out.set(key, pos[index]);
+    return out;
+}
+
 }  // namespace
 
 Config Config::from_args(int argc, const char* const* argv) {
@@ -231,6 +241,24 @@ void reject_unknown(const Config& cfg) {
     if (unused.size() > 1) message += 's';
     for (const std::string& key : unused) message += " --" + key;
     throw std::invalid_argument(message);
+}
+
+std::uint64_t opt_u64(const Config& cli, std::string_view key,
+                      std::size_t index, std::uint64_t fallback) {
+    if (cli.has(key)) return cli.get_u64(key, fallback);
+    return positional(cli, key, index).get_u64(key, fallback);
+}
+
+std::uint32_t opt_u32(const Config& cli, std::string_view key,
+                      std::size_t index, std::uint32_t fallback) {
+    if (cli.has(key)) return cli.get_u32(key, fallback);
+    return positional(cli, key, index).get_u32(key, fallback);
+}
+
+double opt_f64(const Config& cli, std::string_view key, std::size_t index,
+               double fallback) {
+    if (cli.has(key)) return cli.get_double(key, fallback);
+    return positional(cli, key, index).get_double(key, fallback);
 }
 
 int guarded_main(int (*body)(int, char**), int argc, char** argv) {

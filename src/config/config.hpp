@@ -102,6 +102,18 @@ private:
     std::vector<std::string> positional_;
 };
 
+/// Flag-or-positional numbers, for programs that take them either way
+/// (`birthday_calc 71 2 2 65536` or `--w=71 --alpha=2 --c=2 --n=65536`):
+/// the `--key=` flag wins, then the positional at `index`, then
+/// `fallback`. A positional goes through the flag's checked getter, so it
+/// too must be the whole value and fit its type.
+[[nodiscard]] std::uint64_t opt_u64(const Config& cli, std::string_view key,
+                                    std::size_t index, std::uint64_t fallback);
+[[nodiscard]] std::uint32_t opt_u32(const Config& cli, std::string_view key,
+                                    std::size_t index, std::uint32_t fallback);
+[[nodiscard]] double opt_f64(const Config& cli, std::string_view key,
+                             std::size_t index, double fallback);
+
 /// The error a by-name factory throws for a name it does not know: it
 /// names the bad value and lists the known ones, e.g. "unknown table
 /// 'nonesuch' (known: tagless, tagged)".

@@ -36,6 +36,11 @@
 //     the clock was ≥ rv+1 can only have begun after some rv+1 writer
 //     finished publishing — it sees either none or all of that writer's
 //     stripes locked/updated, never a mix (locks are held across publish).
+//   * The clock has a cache line of its own (PaddedClock), and the engine's
+//     first line (vtable pointer, gv5_, locks_) is written only at
+//     construction. Writer commits and lag fixes write the clock; on a
+//     shared line each such write would evict, from every other core, the
+//     line that their next virtual call into the engine and lock_for read.
 
 #include <algorithm>
 #include <limits>
@@ -54,6 +59,13 @@ class Tl2Backend;
 
 /// Versioned stripe locks; a power of two.
 constexpr std::uint64_t kLocks = std::uint64_t{1} << 20;
+
+/// The global version clock, alone on its cache line.
+struct alignas(64) PaddedClock {
+    std::atomic<std::uint64_t> word{0};
+};
+static_assert(sizeof(PaddedClock) == 64 && alignof(PaddedClock) == 64,
+              "the clock must not share its line with any other member");
 
 class Tl2Context final : public TxContext {
 public:
@@ -121,7 +133,7 @@ public:
     void begin(TxContext& cx_base) override {
         auto& cx = static_cast<Tl2Context&>(cx_base);
         cx.reset();
-        cx.rv = clock_.load(std::memory_order_acquire);
+        cx.rv = clock_.word.load(std::memory_order_acquire);
     }
 
     std::uint64_t load(TxContext& cx_base, const std::uint64_t* addr) override {
@@ -179,10 +191,10 @@ private:
     /// it (GV5 lag). Conflict path only; a no-op under GV1, where published
     /// versions never exceed the clock.
     void raise_clock_to(Tl2Context& cx, std::uint64_t version) noexcept {
-        std::uint64_t cur = clock_.load(std::memory_order_relaxed);
+        std::uint64_t cur = clock_.word.load(std::memory_order_relaxed);
         while (cur < version &&
-               !clock_.compare_exchange_weak(cur, version,
-                                             std::memory_order_acq_rel)) {
+               !clock_.word.compare_exchange_weak(cur, version,
+                                                  std::memory_order_acq_rel)) {
             // Each failed iteration is one more writer racing us for the
             // clock cache line — the contention signal the adaptive layer
             // watches to fall back from gv5 to gv1.
@@ -200,7 +212,7 @@ private:
                                            std::uint64_t needed) {
         raise_clock_to(cx, needed);
         const std::uint64_t extended =
-            clock_.load(std::memory_order_acquire);
+            clock_.word.load(std::memory_order_acquire);
         for (std::atomic<std::uint64_t>* lock : cx.read_set) {
             ++cx.stats->tl2_validation_checks;
             const std::uint64_t v = lock->load(std::memory_order_acquire);
@@ -284,7 +296,7 @@ private:
         }
 
         const std::uint64_t observed =
-            clock_.load(std::memory_order_acquire);
+            clock_.word.load(std::memory_order_acquire);
         std::uint64_t wv;
         if (gv5_ && observed == cx.rv) {
             // GV5 skip: publish rv+1 without the fetch_add. Validation is
@@ -298,7 +310,7 @@ private:
             }
             wv = cx.rv + 1;
         } else {
-            wv = clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
+            wv = clock_.word.fetch_add(1, std::memory_order_acq_rel) + 1;
             // Validate the read set unless we were the only clock increment
             // since begin (TL2's rv+1 == wv shortcut).
             if (wv != cx.rv + 1 && !read_set_valid(cx, locks)) {
@@ -320,8 +332,8 @@ private:
     }
 
     const bool gv5_;
-    std::atomic<std::uint64_t> clock_{0};
     std::vector<std::atomic<std::uint64_t>> locks_;
+    PaddedClock clock_;
 };
 
 }  // namespace

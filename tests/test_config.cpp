@@ -100,6 +100,28 @@ TEST(Config, U64RejectsSuffixesThatOverflow) {
     EXPECT_THROW((void)cfg.get_u64("k", 0), std::invalid_argument);
 }
 
+TEST(Config, FlagOrPositionalNumbersAreChecked) {
+    // `birthday_calc 5abc 2 -3 1024x` used to run W=5, C=4294967293, N=1024.
+    const char* argv[] = {"prog", "5", "2.5", "3", "--c=9"};
+    const auto cli = config::Config::from_args(5, argv);
+    EXPECT_EQ(config::opt_u64(cli, "w", 0, 71), 5u);
+    EXPECT_DOUBLE_EQ(config::opt_f64(cli, "alpha", 1, 2.0), 2.5);
+    EXPECT_EQ(config::opt_u32(cli, "c", 2, 2), 9u);  // the flag wins
+    EXPECT_EQ(config::opt_u64(cli, "n", 3, 65536), 65536u);  // none given
+    EXPECT_TRUE(cli.unused_keys().empty());
+
+    const char* bad[] = {"prog", "5abc", "2x", "-3", "1024x"};
+    const auto junk = config::Config::from_args(5, bad);
+    EXPECT_THROW((void)config::opt_u64(junk, "w", 0, 71),
+                 std::invalid_argument);
+    EXPECT_THROW((void)config::opt_f64(junk, "alpha", 1, 2.0),
+                 std::invalid_argument);
+    EXPECT_THROW((void)config::opt_u32(junk, "c", 2, 2),
+                 std::invalid_argument);
+    EXPECT_THROW((void)config::opt_u64(junk, "n", 3, 65536),
+                 std::invalid_argument);
+}
+
 TEST(Config, TracksUnusedKeysForTypoDiagnostics) {
     const auto cfg = config::Config::from_string("table=tagged tabel=oops");
     (void)cfg.get("table", "");

@@ -39,6 +39,8 @@
 namespace {
 
 using tmb::config::Config;
+using tmb::config::opt_f64;
+using tmb::config::opt_u64;
 using tmb::trace::TraceFormat;
 
 int usage() {
@@ -55,28 +57,6 @@ int usage() {
         "--skew= --seed=;\n   output format: .tbin/.bin extension = binary, "
         "or --format=/--to=text|binary)\n";
     return 2;
-}
-
-/// The positional at `index` as `key=value`, so that it goes through the
-/// same checked parse as `--key=`: the whole value, in range.
-Config positional(const Config& cli, std::string_view key, std::size_t index) {
-    Config out;
-    const auto& pos = cli.positional();
-    if (index < pos.size()) out.set(key, pos[index]);
-    return out;
-}
-
-/// Positional-or-flag lookup: flags win, then the positional at `index`.
-std::uint64_t opt_u64(const Config& cli, std::string_view key,
-                      std::size_t index, std::uint64_t fallback) {
-    if (cli.has(key)) return cli.get_u64(key, fallback);
-    return positional(cli, key, index).get_u64(key, fallback);
-}
-
-double opt_f64(const Config& cli, std::string_view key, std::size_t index,
-               double fallback) {
-    if (cli.has(key)) return cli.get_double(key, fallback);
-    return positional(cli, key, index).get_double(key, fallback);
 }
 
 /// The explicit --format=/--to= flag (synonyms; --format wins), if any.
