@@ -26,6 +26,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,23 +38,25 @@
 namespace tmb::bench {
 
 namespace detail {
+/// The multiplier Runner reads from --scale or TMB_SCALE; 0 = not set.
 inline double& scale_override() {
-    static double scale = 0.0;  // 0 = not set, fall back to TMB_SCALE
+    static double scale = 0.0;
     return scale;
 }
 }  // namespace detail
 
 /// Multiplies a paper-default sample count by --scale / TMB_SCALE (default
-/// 1.0), with a floor of 50 so results stay meaningful.
+/// 1.0; a value <= 0 means 1.0), with a floor of 50 so results stay
+/// meaningful. A count past 32 bits is an error, not a wrapped cast.
 [[nodiscard]] inline std::uint32_t scaled(std::uint32_t paper_default) {
     double scale = detail::scale_override();
-    if (scale <= 0.0) {
-        if (const char* env = std::getenv("TMB_SCALE")) {
-            scale = std::strtod(env, nullptr);
-        }
-    }
     if (scale <= 0.0) scale = 1.0;
     const double n = static_cast<double>(paper_default) * scale;
+    if (n > static_cast<double>(std::numeric_limits<std::uint32_t>::max())) {
+        throw std::invalid_argument(
+            "--scale/TMB_SCALE " + std::to_string(scale) + " times " +
+            std::to_string(paper_default) + " samples exceeds 4294967295");
+    }
     return n < 50.0 ? 50u : static_cast<std::uint32_t>(n);
 }
 
@@ -66,6 +70,11 @@ public:
           cfg_(config::Config::from_args(argc, argv)) {
         if (cfg_.has("scale")) {
             detail::scale_override() = cfg_.get_double("scale", 1.0);
+        } else if (const char* env = std::getenv("TMB_SCALE")) {
+            // The flag's checked parse: "0.01abc" is an error, not 0.01.
+            config::Config env_cfg;
+            env_cfg.set("TMB_SCALE", env);
+            detail::scale_override() = env_cfg.get_double("TMB_SCALE", 1.0);
         }
         json_path_ = cfg_.get("json", "");
         csv_dir_ = cfg_.get("csv", "");

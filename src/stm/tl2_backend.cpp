@@ -57,8 +57,12 @@ namespace {
 
 class Tl2Backend;
 
-/// Versioned stripe locks; a power of two.
-constexpr std::uint64_t kLocks = std::uint64_t{1} << 20;
+/// Versioned stripe locks, one 8-byte word each; a power of two. Every Stm
+/// zeroes the table: 512 KB at 2^16 against 8 MB at 2^20. The table holds
+/// no tags, so fewer stripes mean more false conflicts: 4-thread replay
+/// transactions of 128 accesses abort 0.19 of attempts here against 0.12
+/// at 2^20, while vacation's abort share moved only from 2.53% to 2.62%.
+constexpr std::uint64_t kLocks = std::uint64_t{1} << 16;
 
 /// The global version clock, alone on its cache line.
 struct alignas(64) PaddedClock {
